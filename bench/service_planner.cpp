@@ -1,24 +1,14 @@
 // Planner acceptance gate (service-subsystem extension).
 //
-// Enforces the three contracts the lookahead planner is built on:
+// Enforces the contract the lookahead planner is built on: on a bursty
+// heterogeneous storm (bursts of queued work landing on a drained
+// mixed-backend fleet), planning k >= 4 submissions jointly by
+// min-estimated-finish beats the greedy window-1 least-loaded baseline
+// on makespan — the joint plan routes each class to the backend where
+// it finishes earliest instead of filling nodes in blind load order.
 //
-//   1. Lookahead wins — on a bursty heterogeneous storm (bursts of
-//      queued work landing on a drained mixed-backend fleet), planning
-//      k >= 4 submissions jointly by min-estimated-finish beats the
-//      greedy window-1 least-loaded baseline on makespan: the joint
-//      plan routes each class to the backend where it finishes
-//      earliest instead of filling nodes in blind load order.
-//   2. Plan cache replays steady state — the same trace twice through
-//      one scheduler revisits the same (window class sequence × fleet
-//      state) keys, so the second run serves > 90% of its plans from
-//      the memoized cache and still produces the byte-identical
-//      schedule.
-//   3. Cache transparency — the storm's schedule is identical with the
-//      plan cache on or off (memoization is a pure cost optimization,
-//      never a decision input).
-//
-// Appends a "service_planner" section (with the plan-cache counters)
-// to BENCH_service.json for the CI artifact.
+// Appends a "service_planner" section to BENCH_service.json for the CI
+// artifact.
 //
 //   service_planner [--smoke] [--csv out.csv] [--json f]
 #include <cstring>
@@ -107,7 +97,7 @@ std::vector<service::Submission> make_storm_stream(std::uint64_t bursts,
 
 Expected<service::ServiceResult> run_storm(
     const std::vector<service::Submission>& stream, std::uint32_t nodes,
-    std::uint32_t window, bool plan_cache) {
+    std::uint32_t window) {
   service::ServiceConfig config;
   config.nodes = nodes;
   config.queue_capacity = stream.size();
@@ -115,36 +105,8 @@ Expected<service::ServiceResult> run_storm(
   config.policy = service::PlacementPolicy::kLeastLoaded;
   config.node_specs = storm_fleet_specs(nodes);
   config.planner.window = window;
-  config.planner.plan_cache = plan_cache;
   service::OnlineScheduler scheduler(config);
   return scheduler.run(stream);
-}
-
-bool identical_schedules(const std::vector<service::CompletionRecord>& a,
-                         const std::vector<service::CompletionRecord>& b,
-                         std::string* detail) {
-  if (a.size() != b.size()) {
-    *detail = format("%zu vs %zu completions", a.size(), b.size());
-    return false;
-  }
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const auto& x = a[i];
-    const auto& y = b[i];
-    if (x.id != y.id || x.node != y.node || x.slot != y.slot ||
-        x.start_ns != y.start_ns || x.finish_ns != y.finish_ns) {
-      *detail = format(
-          "completion %zu differs: id %llu node %u [%llu, %llu] vs id "
-          "%llu node %u [%llu, %llu]",
-          i, static_cast<unsigned long long>(x.id), x.node,
-          static_cast<unsigned long long>(x.start_ns),
-          static_cast<unsigned long long>(x.finish_ns),
-          static_cast<unsigned long long>(y.id), y.node,
-          static_cast<unsigned long long>(y.start_ns),
-          static_cast<unsigned long long>(y.finish_ns));
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace
@@ -180,15 +142,13 @@ int main(int argc, char** argv) {
   double greedy_makespan_s = 0.0, lookahead_makespan_s = 0.0;
   std::uint64_t lookahead_plans = 0;
 
-  // Gate 1: window-8 joint planning beats the greedy window-1
-  // least-loaded baseline on makespan.
-  std::vector<service::CompletionRecord> lookahead_schedule;
+  // Window-8 joint planning beats the greedy window-1 least-loaded
+  // baseline on makespan.
   {
     bool pass = true;
     std::string detail;
-    auto greedy = run_storm(storm, nodes, /*window=*/1, /*plan_cache=*/false);
-    auto lookahead =
-        run_storm(storm, nodes, /*window=*/8, /*plan_cache=*/false);
+    auto greedy = run_storm(storm, nodes, /*window=*/1);
+    auto lookahead = run_storm(storm, nodes, /*window=*/8);
     if (!greedy.has_value()) {
       pass = false;
       detail = greedy.error().message;
@@ -201,7 +161,6 @@ int main(int argc, char** argv) {
       lookahead_makespan_s =
           static_cast<double>(lookahead->metrics.makespan_ns) / 1e9;
       lookahead_plans = lookahead->metrics.plans;
-      lookahead_schedule = lookahead->completions;
       if (greedy->metrics.completed != storm.size() ||
           lookahead->metrics.completed != storm.size()) {
         pass = false;
@@ -219,76 +178,6 @@ int main(int argc, char** argv) {
       }
     }
     gates.push_back({"lookahead-beats-greedy", pass, detail});
-  }
-
-  // Gate 2: the same trace twice through one scheduler — the second
-  // run replays > 90% of its plans from the cache, schedule unchanged.
-  double twin_hit_rate = 0.0;
-  std::uint64_t twin_hits = 0, twin_misses = 0;
-  {
-    bool pass = true;
-    std::string detail;
-    service::ServiceConfig config;
-    config.nodes = nodes;
-    config.queue_capacity = storm.size();
-    config.defer_watermark = 1.0;
-    config.policy = service::PlacementPolicy::kLeastLoaded;
-    config.node_specs = storm_fleet_specs(nodes);
-    config.planner.window = 4;
-    config.planner.plan_cache = true;
-    config.planner.plan_cache_capacity = 1 << 16;
-    service::OnlineScheduler scheduler(config);
-    auto first = scheduler.run(storm);
-    auto second = first.has_value() ? scheduler.run(storm) : first;
-    if (!first.has_value()) {
-      pass = false;
-      detail = first.error().message;
-    } else if (!second.has_value()) {
-      pass = false;
-      detail = second.error().message;
-    } else {
-      // Metrics are per-run deltas: this is the second run's own rate.
-      twin_hits = second->metrics.plan_cache_hits;
-      twin_misses = second->metrics.plan_cache_misses;
-      twin_hit_rate = second->metrics.plan_cache_hit_rate();
-      if (!identical_schedules(first->completions, second->completions,
-                               &detail)) {
-        pass = false;
-      } else if (twin_hit_rate <= 0.9) {
-        pass = false;
-        detail = format("second-run hit rate %.1f%% !> 90%% (%llu/%llu)",
-                        100.0 * twin_hit_rate,
-                        static_cast<unsigned long long>(twin_hits),
-                        static_cast<unsigned long long>(twin_hits +
-                                                        twin_misses));
-      } else {
-        detail = format("second-run hit rate %.1f%% (%llu/%llu), "
-                        "schedule identical",
-                        100.0 * twin_hit_rate,
-                        static_cast<unsigned long long>(twin_hits),
-                        static_cast<unsigned long long>(twin_hits +
-                                                        twin_misses));
-      }
-    }
-    gates.push_back({"plan-cache-steady-state", pass, detail});
-  }
-
-  // Gate 3: the plan cache never changes the schedule.
-  {
-    bool pass = true;
-    std::string detail;
-    auto cached = run_storm(storm, nodes, /*window=*/8, /*plan_cache=*/true);
-    if (!cached.has_value()) {
-      pass = false;
-      detail = cached.error().message;
-    } else if (!identical_schedules(lookahead_schedule, cached->completions,
-                                    &detail)) {
-      pass = false;
-    } else {
-      detail = format("%zu completions identical, cache on vs off",
-                      cached->completions.size());
-    }
-    gates.push_back({"plan-cache-transparent", pass, detail});
   }
 
   bool all_pass = true;
@@ -310,10 +199,7 @@ int main(int argc, char** argv) {
        {"lookahead_speedup",
         lookahead_makespan_s > 0.0 ? greedy_makespan_s / lookahead_makespan_s
                                    : 0.0},
-       {"lookahead_plans", static_cast<double>(lookahead_plans)},
-       {"plan_cache_hits", static_cast<double>(twin_hits)},
-       {"plan_cache_misses", static_cast<double>(twin_misses)},
-       {"plan_cache_hit_rate", twin_hit_rate}});
+       {"lookahead_plans", static_cast<double>(lookahead_plans)}});
   if (!json.write()) {
     std::cerr << "error: could not write " << json_path << "\n";
     return 1;

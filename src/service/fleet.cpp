@@ -56,17 +56,7 @@ Fleet::Fleet(std::uint32_t node_count, std::uint32_t tenants_per_node)
   for (NodeState& n : nodes_) {
     n.slots.resize(tenants_per_node);
   }
-  for (std::uint32_t i = 0; i < node_count; ++i) index_insert(i);
-}
-
-void Fleet::index_insert(std::uint32_t node) {
-  idle_by_load_.emplace(nodes_[node].busy_ns, node);
-  idle_by_index_.insert(node);
-}
-
-void Fleet::index_remove(std::uint32_t node) {
-  idle_by_load_.erase({nodes_[node].busy_ns, node});
-  idle_by_index_.erase(node);
+  for (std::uint32_t i = 0; i < node_count; ++i) idle_by_index_.insert(i);
 }
 
 bool Fleet::node_free_at(std::uint32_t node, SimTime now) const noexcept {
@@ -123,57 +113,19 @@ SimTime Fleet::earliest_free_ns() const noexcept {
   return earliest;
 }
 
-std::optional<std::uint32_t> Fleet::pick_idle_node(PlacementPolicy policy,
-                                                   SimTime now) const {
+bool Fleet::has_idle_node(SimTime now) const {
   // A node is dispatchable only once every slot's finish event has
   // actually fired (running cleared — the index membership criterion):
   // an arrival landing at exactly free_at_ns must wait for the
   // same-timestamp completion callback. Index members may still be
   // draining a checkpoint, hence the node_free_at filter.
-  if (policy == PlacementPolicy::kFirstFit) {
-    for (std::uint32_t i : idle_by_index_) {
-      if (node_free_at(i, now)) return i;
-    }
-    return std::nullopt;
-  }
-  // Least-loaded (also the placement half of kRecommenderAware and
-  // kColocationAware): least accumulated busy time, index as the
-  // deterministic tiebreak — exactly the set's (busy_ns, index) order.
-  for (const auto& [busy, i] : idle_by_load_) {
-    if (node_free_at(i, now)) return i;
-  }
-  return std::nullopt;
-}
-
-std::optional<std::uint32_t> Fleet::pick_idle_node_linear(
-    PlacementPolicy policy, SimTime now) const {
-  std::optional<std::uint32_t> best;
-  for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
-    const bool idle = std::all_of(
-        nodes_[i].slots.begin(), nodes_[i].slots.end(),
-        [now](const SlotState& s) {
-          return s.free_at_ns <= now && !s.running.has_value();
-        });
-    if (!idle) continue;
-    if (policy == PlacementPolicy::kFirstFit) return i;
-    if (!best.has_value() || nodes_[i].busy_ns < nodes_[*best].busy_ns) {
-      best = i;
-    }
-  }
-  return best;
+  return std::any_of(idle_by_index_.begin(), idle_by_index_.end(),
+                     [&](std::uint32_t i) { return node_free_at(i, now); });
 }
 
 void Fleet::idle_nodes(SimTime now, std::vector<std::uint32_t>& out) const {
   out.clear();
   for (std::uint32_t i : idle_by_index_) {
-    if (node_free_at(i, now)) out.push_back(i);
-  }
-}
-
-void Fleet::idle_nodes_by_load(SimTime now,
-                               std::vector<std::uint32_t>& out) const {
-  out.clear();
-  for (const auto& [busy, i] : idle_by_load_) {
     if (node_free_at(i, now)) out.push_back(i);
   }
 }
@@ -211,8 +163,7 @@ void Fleet::start(SlotRef ref, SimTime start_ns, SimDuration busy_ns,
   SlotState& s = slot(ref);
   PMEMFLOW_ASSERT(s.free_at_ns <= start_ns);
   PMEMFLOW_ASSERT(!s.running.has_value());
-  // Leave the idle index before busy_ns moves: the set key embeds it.
-  if (running_count_[ref.node]++ == 0) index_remove(ref.node);
+  if (running_count_[ref.node]++ == 0) idle_by_index_.erase(ref.node);
   s.free_at_ns = start_ns + busy_ns;
   nodes_[ref.node].busy_ns += busy_ns;
   task.rate_since_ns = start_ns;
@@ -226,7 +177,7 @@ RunningTask Fleet::complete(SlotRef ref) {
   RunningTask task = std::move(*s.running);
   s.running.reset();
   PMEMFLOW_ASSERT(running_count_[ref.node] > 0);
-  if (--running_count_[ref.node] == 0) index_insert(ref.node);
+  if (--running_count_[ref.node] == 0) idle_by_index_.insert(ref.node);
   return task;
 }
 
@@ -286,11 +237,10 @@ RunningTask Fleet::preempt(SlotRef ref, SimTime now,
 
   ++task.record.preemptions;
   task.record.checkpoint_ns += checkpoint_ns;
-  // Re-enter the idle index only after the busy adjustments above, so
-  // the set key matches the node's settled busy_ns. The node is still
-  // draining the snapshot; node_free_at hides it until the drain ends.
+  // The node is still draining the snapshot; node_free_at hides it
+  // from idle queries until the drain ends.
   PMEMFLOW_ASSERT(running_count_[ref.node] > 0);
-  if (--running_count_[ref.node] == 0) index_insert(ref.node);
+  if (--running_count_[ref.node] == 0) idle_by_index_.insert(ref.node);
   return task;
 }
 

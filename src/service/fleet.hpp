@@ -39,7 +39,6 @@
 #include <cstdint>
 #include <optional>
 #include <set>
-#include <utility>
 #include <vector>
 
 #include "capacity/residency.hpp"
@@ -191,28 +190,15 @@ class Fleet {
   /// preemption decision rule.
   [[nodiscard]] SimTime earliest_free_ns() const noexcept;
 
-  /// Picks a node among those *fully* idle at `now` (every slot free)
-  /// according to `policy` (kRecommenderAware and kColocationAware
-  /// place like kLeastLoaded). Returns nullopt when no node is idle. A
-  /// slot whose finish event has reached its timestamp but not yet
+  /// True when some node is *fully* idle at `now` (every slot free).
+  /// A slot whose finish event has reached its timestamp but not yet
   /// fired (running task still attached) does not count as free.
-  [[nodiscard]] std::optional<std::uint32_t> pick_idle_node(
-      PlacementPolicy policy, SimTime now) const;
-
-  /// Reference implementation of pick_idle_node: the original O(nodes)
-  /// linear scan. Kept verbatim so tests can assert the idle-index fast
-  /// path is equivalent under arbitrary start/complete/preempt churn.
-  [[nodiscard]] std::optional<std::uint32_t> pick_idle_node_linear(
-      PlacementPolicy policy, SimTime now) const;
+  [[nodiscard]] bool has_idle_node(SimTime now) const;
 
   /// Fills `out` with every node fully idle at `now`, ascending node
   /// index. Served from the idle index: only task-free nodes are
   /// visited, draining ones are filtered on the way out.
   void idle_nodes(SimTime now, std::vector<std::uint32_t>& out) const;
-
-  /// Same set as idle_nodes, ordered by (accumulated busy time, index)
-  /// ascending — the least-loaded preference order.
-  void idle_nodes_by_load(SimTime now, std::vector<std::uint32_t>& out) const;
 
   /// Slot index of the node's sole running task, when exactly one slot
   /// is running; nullopt for an empty or fully-packed node.
@@ -291,14 +277,9 @@ class Fleet {
   /// solo work at the current interference factor.
   static void settle(RunningTask& task, SimTime now);
 
-  /// Idle-index maintenance. A node lives in both sets exactly while it
-  /// runs zero tasks; its busy_ns is frozen for that whole span (retime
-  /// requires a running task, preempt re-inserts only after its busy
-  /// adjustments), so the load-ordered set never goes stale. Draining
-  /// nodes (a checkpoint still occupying a slot) stay in the sets and
-  /// are filtered by node_free_at at query time.
-  void index_insert(std::uint32_t node);
-  void index_remove(std::uint32_t node);
+  /// Idle-index maintenance. A node lives in the index exactly while it
+  /// runs zero tasks. Draining nodes (a checkpoint still occupying a
+  /// slot) stay indexed and are filtered by node_free_at at query time.
   [[nodiscard]] bool node_free_at(std::uint32_t node,
                                   SimTime now) const noexcept;
 
@@ -306,9 +287,7 @@ class Fleet {
   std::uint32_t tenants_per_node_;
   /// Running-task count per node — the idle-index membership criterion.
   std::vector<std::uint32_t> running_count_;
-  /// Task-free nodes ordered by (busy_ns, index): least-loaded order.
-  std::set<std::pair<SimDuration, std::uint32_t>> idle_by_load_;
-  /// Task-free nodes ordered by index: first-fit order.
+  /// Task-free nodes, ascending index.
   std::set<std::uint32_t> idle_by_index_;
   /// Per-socket PMEM occupancy; empty unless init_residency() ran.
   capacity::ResidencyTracker residency_;

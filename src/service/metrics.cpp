@@ -164,12 +164,6 @@ void print_service_report(std::ostream& out, const std::string& title,
   table.add_row({"planner window", format("%u", metrics.planner_window)});
   table.add_row({"plans", format("%llu", static_cast<unsigned long long>(
                                              metrics.plans))});
-  table.add_row(
-      {"plan cache hit rate",
-       format("%.1f %% (%llu/%llu)", 100.0 * metrics.plan_cache_hit_rate(),
-              static_cast<unsigned long long>(metrics.plan_cache_hits),
-              static_cast<unsigned long long>(metrics.plan_cache_hits +
-                                              metrics.plan_cache_misses))});
   table.write(out);
 }
 
@@ -206,9 +200,7 @@ std::vector<std::string> service_csv_header() {
           "dag_completed",
           "ephemeral_edges",
           "planner_window",
-          "plans",
-          "plan_cache_hits",
-          "plan_cache_misses"};
+          "plans"};
 }
 
 void append_service_csv_row(CsvWriter& csv, const std::string& run_label,
@@ -251,11 +243,7 @@ void append_service_csv_row(CsvWriter& csv, const std::string& run_label,
        format("%llu",
               static_cast<unsigned long long>(metrics.ephemeral_edges)),
        format("%u", metrics.planner_window),
-       format("%llu", static_cast<unsigned long long>(metrics.plans)),
-       format("%llu",
-              static_cast<unsigned long long>(metrics.plan_cache_hits)),
-       format("%llu",
-              static_cast<unsigned long long>(metrics.plan_cache_misses))});
+       format("%llu", static_cast<unsigned long long>(metrics.plans))});
 }
 
 }  // namespace pmemflow::service

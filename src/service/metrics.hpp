@@ -158,22 +158,11 @@ struct ServiceMetrics {
   /// Planner invocations this run (each plans up to planner_window
   /// steps), summed per region when sharded.
   std::uint64_t plans = 0;
-  /// Cacheable windows served from the memoized plan cache / planned
-  /// fresh. Both zero when the plan cache is off.
-  std::uint64_t plan_cache_hits = 0;
-  std::uint64_t plan_cache_misses = 0;
 
   /// Bandwidth-share solves the run's characterizations performed
   /// (memoization makes repeat classes hit instead).
   [[nodiscard]] std::uint64_t rate_solves() const noexcept {
     return allocator.solves;
-  }
-
-  [[nodiscard]] double plan_cache_hit_rate() const noexcept {
-    const std::uint64_t total = plan_cache_hits + plan_cache_misses;
-    return total == 0 ? 0.0
-                      : static_cast<double>(plan_cache_hits) /
-                            static_cast<double>(total);
   }
 };
 

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/assert.hpp"
-#include "common/hash.hpp"
 #include "dag/spec.hpp"
 #include "service/scheduler.hpp"
 #include "workflow/model.hpp"
@@ -27,11 +26,6 @@ bool score_better(const PlacementCandidate& a, const PlacementCandidate& b) {
 bool estimate_better(const PlacementCandidate& a, const PlacementCandidate& b) {
   if (a.estimate_ns != b.estimate_ns) return a.estimate_ns < b.estimate_ns;
   return score_better(a, b);
-}
-
-std::uint64_t submission_class_fp(const Submission& submission) {
-  return submission.dag != nullptr ? dag::class_fingerprint(*submission.dag)
-                                   : workflow::class_fingerprint(submission.spec);
 }
 
 }  // namespace
@@ -102,21 +96,6 @@ core::DeploymentConfig planned_config(const ServiceConfig& config,
     chosen.placement = flipped(chosen.placement);
   }
   return chosen;
-}
-
-Planner::Planner(const ServiceConfig& config, std::uint32_t node_base,
-                 std::uint32_t node_count)
-    : config_(config),
-      node_base_(node_base),
-      node_count_(node_count),
-      device_fps_(node_count, 0) {
-  if (!config_.node_specs.empty()) {
-    for (std::uint32_t n = 0; n < node_count; ++n) {
-      const std::size_t global = node_base + n;
-      if (global >= config_.node_specs.size()) break;
-      device_fps_[n] = config_.node_specs[global].devices.fingerprint();
-    }
-  }
 }
 
 bool Planner::heterogeneous() const noexcept {
@@ -409,36 +388,8 @@ Status Planner::finalize(PlanResolver& resolver, const Submission& next,
 
 Expected<Plan> Planner::plan(PlanResolver& resolver, const Fleet& fleet,
                              std::span<const Submission* const> window,
-                             SimTime now, bool cacheable) {
+                             SimTime now) {
   PMEMFLOW_ASSERT(!window.empty());
-  ++stats_.plans;
-  const bool use_cache = config_.planner.plan_cache && cacheable;
-  std::uint64_t digest = 0;
-  std::vector<std::uint64_t> key;
-  if (use_cache) {
-    key = cache_key(fleet, window, now);
-    Hasher64 hasher;
-    for (std::uint64_t v : key) hasher.update_u64(v);
-    digest = hasher.digest();
-    const auto it = cache_.find(digest);
-    if (it != cache_.end() && it->second.key == key) {
-      ++stats_.cache_hits;
-      auto replayed = replay(resolver, fleet, window, it->second.steps);
-      if (replayed.has_value()) stats_.planned_steps += replayed->steps.size();
-      return replayed;
-    }
-    ++stats_.cache_misses;
-  }
-  auto planned = plan_window(resolver, fleet, window, now);
-  if (!planned.has_value()) return planned;
-  stats_.planned_steps += planned->steps.size();
-  if (use_cache) memoize(digest, std::move(key), *planned);
-  return planned;
-}
-
-Expected<Plan> Planner::plan_window(PlanResolver& resolver, const Fleet& fleet,
-                                    std::span<const Submission* const> window,
-                                    SimTime now) {
   Plan plan;
   if (window.size() == 1) {
     // Greedy fast path: enumerate → score → finalize the single winner.
@@ -456,7 +407,7 @@ Expected<Plan> Planner::plan_window(PlanResolver& resolver, const Fleet& fleet,
     PlacementCandidate chosen = std::move((*candidates)[best]);
     const Status finalized = finalize(resolver, next, chosen);
     if (!finalized.has_value()) return Unexpected{finalized.error()};
-    plan.steps.push_back(PlannedStep{next.id, 0, std::move(chosen)});
+    plan.steps.push_back(PlannedStep{next.id, std::move(chosen)});
     return plan;
   }
 
@@ -508,181 +459,14 @@ Expected<Plan> Planner::plan_window(PlanResolver& resolver, const Fleet& fleet,
       if (best_entry.has_value()) {
         consumed[best_candidate->ref.node] = true;
         placed[*best_entry] = true;
-        plan.steps.push_back(PlannedStep{
-            window[*best_entry]->id, static_cast<std::uint32_t>(*best_entry),
-            std::move(*best_candidate)});
+        plan.steps.push_back(
+            PlannedStep{window[*best_entry]->id, std::move(*best_candidate)});
         progress = true;
       }
     }
     group_begin = group_end;
   }
   return plan;
-}
-
-Expected<Plan> Planner::replay(PlanResolver& resolver, const Fleet& fleet,
-                               std::span<const Submission* const> window,
-                               const std::vector<CompactStep>& steps) {
-  Plan plan;
-  plan.from_cache = true;
-  plan.steps.reserve(steps.size());
-  for (const CompactStep& step : steps) {
-    PMEMFLOW_ASSERT(step.entry < window.size());
-    const Submission& next = *window[step.entry];
-    PlacementCandidate c;
-    c.ref = step.ref;
-    c.flip_placement = step.flip_placement;
-    switch (step.kind) {
-      case StepKind::kDag: {
-        auto profile = resolver.resolve_dag_profile(*next.dag, step.ref.node);
-        if (!profile.has_value()) return Unexpected{profile.error()};
-        c.dag_profile = profile->profile;
-        c.cache_hit = profile->cache_hit;
-        break;
-      }
-      case StepKind::kPack: {
-        auto joiner = resolver.resolve_profile(next.spec, step.ref.node);
-        if (!joiner.has_value()) return Unexpected{joiner.error()};
-        const auto tenant = fleet.sole_tenant_slot(step.ref.node);
-        PMEMFLOW_ASSERT_MSG(tenant.has_value(),
-                            "cached pack step on a node whose occupancy "
-                            "diverged from its key");
-        const RunningTask* incumbent =
-            fleet.running(SlotRef{step.ref.node, *tenant});
-        PMEMFLOW_ASSERT(incumbent != nullptr &&
-                        incumbent->submission.dag == nullptr);
-        auto incumbent_profile = resolver.resolve_profile(
-            incumbent->submission.spec, step.ref.node);
-        if (!incumbent_profile.has_value()) {
-          return Unexpected{incumbent_profile.error()};
-        }
-        auto pair = resolver.resolve_interference(
-            *incumbent_profile->profile, incumbent->submission.spec,
-            *joiner->profile, next.spec, step.ref.node);
-        if (!pair.has_value()) return Unexpected{pair.error()};
-        PMEMFLOW_ASSERT_MSG(pair->feasible,
-                            "cached pack step's interference turned "
-                            "infeasible under an identical key");
-        c.packs = true;
-        c.factor = pair->slowdown_b;
-        c.incumbent_factor = pair->slowdown_a;
-        c.profile = joiner->profile;
-        c.cache_hit = joiner->cache_hit;
-        break;
-      }
-      case StepKind::kCapacity: {
-        auto profile = resolver.resolve_profile(next.spec, step.ref.node);
-        if (!profile.has_value()) return Unexpected{profile.error()};
-        c.profile = profile->profile;
-        c.cache_hit = profile->cache_hit;
-        c.lease_bytes =
-            lease_for(config_.capacity, *profile->profile, next.spec);
-        break;
-      }
-      case StepKind::kCapacityFallback:
-      case StepKind::kSolo:
-        // Bare placement: the commit stage resolves the profile (and,
-        // for the fallback, sizes the lease), exactly like a fresh
-        // window-1 plan.
-        break;
-    }
-    plan.steps.push_back(PlannedStep{next.id, step.entry, std::move(c)});
-  }
-  return plan;
-}
-
-void Planner::memoize(std::uint64_t digest, std::vector<std::uint64_t> key,
-                      const Plan& plan) {
-  // Bounded memo with a deterministic wholesale clear, the same shape
-  // as the rate allocator's solve cache: eviction order must not depend
-  // on anything but the insertion sequence.
-  if (cache_.size() >= std::max<std::size_t>(1, config_.planner.plan_cache_capacity)) {
-    cache_.clear();
-    ++stats_.cache_clears;
-  }
-  CachedPlan cached;
-  cached.key = std::move(key);
-  cached.steps.reserve(plan.steps.size());
-  for (const PlannedStep& step : plan.steps) {
-    CompactStep compact;
-    compact.entry = step.entry;
-    compact.ref = step.candidate.ref;
-    compact.flip_placement = step.candidate.flip_placement;
-    if (step.candidate.dag_profile != nullptr) {
-      compact.kind = StepKind::kDag;
-    } else if (step.candidate.packs) {
-      compact.kind = StepKind::kPack;
-    } else if (config_.policy == PlacementPolicy::kCapacityAware &&
-               capacity_on()) {
-      compact.kind = step.candidate.tier == 4 ? StepKind::kCapacityFallback
-                                              : StepKind::kCapacity;
-    } else {
-      compact.kind = StepKind::kSolo;
-    }
-    cached.steps.push_back(compact);
-  }
-  cache_[digest] = std::move(cached);
-}
-
-std::vector<std::uint64_t> Planner::cache_key(
-    const Fleet& fleet, std::span<const Submission* const> window,
-    SimTime now) const {
-  std::vector<std::uint64_t> key;
-  key.reserve(4 + window.size() * 2 + static_cast<std::size_t>(fleet.size()) * 8);
-  // Config coordinates a plan depends on. The rest of ServiceConfig is
-  // constant per planner, but these gate which enumeration branch runs.
-  key.push_back(static_cast<std::uint64_t>(config_.policy) |
-                (static_cast<std::uint64_t>(config_.use_rule_based) << 8) |
-                (static_cast<std::uint64_t>(heterogeneous()) << 9) |
-                (static_cast<std::uint64_t>(capacity_on()) << 10) |
-                (static_cast<std::uint64_t>(fleet.tenants_per_node()) << 16));
-  key.push_back(static_cast<std::uint64_t>(config_index(config_.fixed_config)));
-  // The window's class sequence: behavioural fingerprints + priorities.
-  key.push_back(window.size());
-  for (const Submission* submission : window) {
-    key.push_back(submission_class_fp(*submission));
-    key.push_back((static_cast<std::uint64_t>(submission->priority) << 1) |
-                  static_cast<std::uint64_t>(submission->dag != nullptr));
-  }
-  // Fleet state: per-node device fingerprint (zero on homogeneous
-  // fleets, where the backend is a config constant) and per-slot
-  // occupancy — a running incumbent's class decides pack compatibility
-  // and interference, a draining slot blocks packing and idleness.
-  key.push_back(static_cast<std::uint64_t>(fleet.size()));
-  for (std::uint32_t n = 0; n < fleet.size(); ++n) {
-    key.push_back(device_fps_[n]);
-    const NodeState& node = fleet.node(n);
-    for (const SlotState& slot : node.slots) {
-      if (slot.running.has_value()) {
-        key.push_back(2);
-        key.push_back(submission_class_fp(slot.running->submission));
-      } else if (slot.free_at_ns > now) {
-        key.push_back(1);
-      } else {
-        key.push_back(0);
-      }
-    }
-  }
-  // Idle-node preference order: the *ranking* by accumulated busy time,
-  // not the absolute values — every policy compares busy times only
-  // ordinally, so two steady-state instants with the same ranking plan
-  // identically. This is what lets steady-state traffic hit.
-  std::vector<std::uint32_t> by_load;
-  fleet.idle_nodes_by_load(now, by_load);
-  key.push_back(by_load.size());
-  for (std::uint32_t i : by_load) key.push_back(i);
-  // Capacity-residency state: fit tiers compare the lease against exact
-  // free/evictable bytes, so the key must carry them exactly — a plan
-  // made against a roomy pool must never replay on a near-full one.
-  if (capacity_on() && !fleet.residency().empty()) {
-    const capacity::ResidencyTracker& residency = fleet.residency();
-    for (std::uint32_t n = 0; n < fleet.size(); ++n) {
-      for (std::uint32_t s = 0; s < kSocketsPerNode; ++s) {
-        key.push_back(residency.pool(n, s).free());
-        key.push_back(residency.evictable_bytes(n, s));
-      }
-    }
-  }
-  return key;
 }
 
 }  // namespace pmemflow::service

@@ -30,22 +30,11 @@
 // (urgent before normal before batch; deterministic tie-breaks), so
 // short work backfills around a stuck head and heterogeneous fleets
 // route each class to the backend where it finishes earliest.
-//
-// Plans are memoizable: the cache key fingerprints the window's class
-// sequence and the fleet state a plan depends on — per-node device
-// fingerprints, per-slot occupancy (running incumbent classes,
-// draining), the idle-node load ranking, and (when the capacity model
-// is on) the exact per-socket residency — so steady-state traffic
-// replays cached plans and planning cost amortizes to near zero. A
-// cached plan is only ever replayed against a byte-equal key, which is
-// what keeps an optane-gen1 plan off a dram-like fleet and a
-// roomy-pool plan off a near-full one.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "service/colocation.hpp"
@@ -63,35 +52,6 @@ struct PlannerConfig {
   /// default) plans greedily one-at-a-time and is byte-identical to
   /// the pre-planner per-policy placement path.
   std::uint32_t window = 1;
-  /// Memoize whole window plans keyed on (window class sequence ×
-  /// fleet/device/residency state). Schedules are identical with the
-  /// cache on or off; only profile-cache traffic differs (a replayed
-  /// plan re-resolves profiles for its chosen nodes only).
-  bool plan_cache = false;
-  /// Cached plans kept before a deterministic wholesale clear (the
-  /// same bounded-memo shape as the allocator's solve cache).
-  std::size_t plan_cache_capacity = 1024;
-};
-
-/// Cumulative planner counters (the scheduler reports per-run deltas).
-struct PlannerStats {
-  /// plan() invocations.
-  std::uint64_t plans = 0;
-  /// Placement steps planned across all invocations.
-  std::uint64_t planned_steps = 0;
-  /// Cacheable windows served from the plan cache.
-  std::uint64_t cache_hits = 0;
-  /// Cacheable windows planned fresh (and then memoized).
-  std::uint64_t cache_misses = 0;
-  /// Wholesale cache clears on reaching capacity.
-  std::uint64_t cache_clears = 0;
-
-  [[nodiscard]] double cache_hit_rate() const noexcept {
-    const std::uint64_t total = cache_hits + cache_misses;
-    return total == 0
-               ? 0.0
-               : static_cast<double>(cache_hits) / static_cast<double>(total);
-  }
 };
 
 /// One scored placement option for one submission: where it would land
@@ -140,8 +100,6 @@ struct PlacementCandidate {
 struct PlannedStep {
   /// Submission id at plan time (commit pops it from the queue by id).
   std::uint64_t id = 0;
-  /// Window position the step was planned for (plan-cache basis).
-  std::uint32_t entry = 0;
   PlacementCandidate candidate;
 };
 
@@ -149,8 +107,6 @@ struct Plan {
   /// Steps in commit order; empty when nothing in the window can place
   /// (the dispatcher then considers preemption).
   std::vector<PlannedStep> steps;
-  /// True when the plan was replayed from the plan cache.
-  bool from_cache = false;
 };
 
 /// What the planner needs from its owner to resolve profiles and
@@ -182,58 +138,22 @@ class PlanResolver {
       std::uint32_t node) = 0;
 };
 
+/// Stateless across plans: a region builds one per run and counts the
+/// plans it asks for.
 class Planner {
  public:
-  /// `config` must outlive the planner. `node_base`/`node_count` name
-  /// the global node slice the owning region plans over (device
-  /// fingerprints are precomputed per local node).
-  Planner(const ServiceConfig& config, std::uint32_t node_base,
-          std::uint32_t node_count);
+  /// `config` must outlive the planner.
+  explicit Planner(const ServiceConfig& config) : config_(config) {}
 
   /// Plans up to PlannerConfig::window steps for `window` (the first
   /// queued submissions in dispatch order) against `fleet` at `now`.
-  /// Never mutates the fleet. `cacheable` must be false when any
-  /// window entry is a checkpointed victim (its remaining work is not
-  /// part of the cache key).
+  /// Never mutates the fleet.
   [[nodiscard]] Expected<Plan> plan(PlanResolver& resolver,
                                     const Fleet& fleet,
                                     std::span<const Submission* const> window,
-                                    SimTime now, bool cacheable);
-
-  [[nodiscard]] const PlannerStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] std::size_t cache_size() const noexcept {
-    return cache_.size();
-  }
-
-  /// The full (pre-hash) plan-cache key for this window and fleet
-  /// state. Exposed so tests can pin what the key must distinguish:
-  /// device fingerprints, slot occupancy/incumbent classes, the
-  /// idle-node load ranking, and per-socket residency bytes.
-  [[nodiscard]] std::vector<std::uint64_t> cache_key(
-      const Fleet& fleet, std::span<const Submission* const> window,
-      SimTime now) const;
+                                    SimTime now);
 
  private:
-  /// How a compactly cached step is re-resolved at replay.
-  enum class StepKind : std::uint8_t {
-    kSolo,              ///< idle-node placement; commit resolves the profile
-    kPack,              ///< co-location join; re-resolve pair factors
-    kCapacity,          ///< capacity-tiered; re-resolve profile + lease
-    kCapacityFallback,  ///< untracked lease fallback (bare least-loaded)
-    kDag,               ///< whole-node DAG; re-resolve the DAG profile
-  };
-  struct CompactStep {
-    std::uint32_t entry = 0;
-    SlotRef ref;
-    StepKind kind = StepKind::kSolo;
-    bool flip_placement = false;
-  };
-  struct CachedPlan {
-    /// Full key, kept to reject 64-bit digest collisions exactly.
-    std::vector<std::uint64_t> key;
-    std::vector<CompactStep> steps;
-  };
-
   [[nodiscard]] bool heterogeneous() const noexcept;
   [[nodiscard]] bool capacity_on() const noexcept;
   /// Candidate generation (stage 1). `consumed[n]` marks nodes taken
@@ -252,24 +172,8 @@ class Planner {
   /// roofline from the cached profile sweep; pack-scaled).
   [[nodiscard]] SimDuration estimate_runtime(
       const Submission& next, const PlacementCandidate& candidate) const;
-  [[nodiscard]] Expected<Plan> plan_window(
-      PlanResolver& resolver, const Fleet& fleet,
-      std::span<const Submission* const> window, SimTime now);
-  [[nodiscard]] Expected<Plan> replay(
-      PlanResolver& resolver, const Fleet& fleet,
-      std::span<const Submission* const> window,
-      const std::vector<CompactStep>& steps);
-  void memoize(std::uint64_t digest, std::vector<std::uint64_t> key,
-               const Plan& plan);
 
   const ServiceConfig& config_;
-  std::uint32_t node_base_;
-  std::uint32_t node_count_;
-  /// Per-local-node device fingerprint (all zero on a homogeneous
-  /// fleet — the backend is then a config constant, not fleet state).
-  std::vector<std::uint64_t> device_fps_;
-  std::unordered_map<std::uint64_t, CachedPlan> cache_;
-  PlannerStats stats_;
 };
 
 /// Dual-socket nodes throughout (the paper's testbed shape).

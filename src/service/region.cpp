@@ -23,13 +23,12 @@ std::uint32_t tenants_for(const ServiceConfig& config) {
 }  // namespace
 
 Region::Region(const ServiceConfig& config, ProfileCache& cache,
-               InterferenceTable& interference, Planner& planner,
-               std::uint32_t index, std::uint32_t node_base,
-               std::uint32_t node_count)
+               InterferenceTable& interference, std::uint32_t index,
+               std::uint32_t node_base, std::uint32_t node_count)
     : config_(config),
       cache_(cache),
       interference_(interference),
-      planner_(planner),
+      planner_(config),
       index_(index),
       node_base_(node_base),
       fleet_(node_count, tenants_for(config)),
@@ -148,12 +147,12 @@ std::optional<SimTime> Region::next_event_time() const {
 bool Region::has_stealable_head(SimTime now) const {
   if (failure_.has_value() || queue_.empty()) return false;
   if (checkpoints_.contains(queue_.front().id)) return false;
-  return !fleet_.pick_idle_node(config_.policy, now).has_value();
+  return !fleet_.has_idle_node(now);
 }
 
 bool Region::can_accept(SimTime now) const {
   if (failure_.has_value() || !queue_.empty()) return false;
-  return fleet_.pick_idle_node(config_.policy, now).has_value();
+  return fleet_.has_idle_node(now);
 }
 
 Submission Region::steal_head() { return queue_.pop(); }
@@ -204,19 +203,11 @@ void Region::arrive(Submission submission, std::uint32_t attempt,
 void Region::dispatch(SimTime now) {
   while (!failure_.has_value() && !queue_.empty()) {
     // Stage 1+2 (candidates + scoring) live in the planner; the window
-    // is the first k queued submissions in dispatch order. A window
-    // containing a checkpointed victim is never cached: the victim's
-    // remaining work and snapshot location are not part of the key.
+    // is the first k queued submissions in dispatch order.
     const auto window = queue_.window(
         std::max<std::uint32_t>(1, config_.planner.window));
-    bool cacheable = true;
-    for (const Submission* submission : window) {
-      if (checkpoints_.contains(submission->id)) {
-        cacheable = false;
-        break;
-      }
-    }
-    auto plan = planner_.plan(*this, fleet_, window, now, cacheable);
+    ++plans_;
+    auto plan = planner_.plan(*this, fleet_, window, now);
     if (!plan.has_value()) {
       failure_ = plan.error();
       return;

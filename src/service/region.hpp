@@ -36,13 +36,12 @@ namespace pmemflow::service {
 
 class Region : public PlanResolver {
  public:
-  /// `cache`, `interference`, and `planner` must be exclusive to this
-  /// region and outlive it. `node_base`/`node_count` name the global
-  /// node slice the region owns (and the planner plans over).
+  /// `cache` and `interference` must be exclusive to this region and
+  /// outlive it. `node_base`/`node_count` name the global node slice
+  /// the region owns (and its planner plans over).
   Region(const ServiceConfig& config, ProfileCache& cache,
-         InterferenceTable& interference, Planner& planner,
-         std::uint32_t index, std::uint32_t node_base,
-         std::uint32_t node_count);
+         InterferenceTable& interference, std::uint32_t index,
+         std::uint32_t node_base, std::uint32_t node_count);
 
   /// Schedules the arrival event of every submission (fresh retry
   /// budget each). Call before advancing.
@@ -99,6 +98,8 @@ class Region : public PlanResolver {
     return des_events_;
   }
   [[nodiscard]] std::uint64_t retries() const noexcept { return retries_; }
+  /// Planner invocations (each plans up to PlannerConfig::window steps).
+  [[nodiscard]] std::uint64_t plans() const noexcept { return plans_; }
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
   [[nodiscard]] std::uint64_t colocations() const noexcept {
     return colocations_;
@@ -195,7 +196,7 @@ class Region : public PlanResolver {
   const ServiceConfig& config_;
   ProfileCache& cache_;
   InterferenceTable& interference_;
-  Planner& planner_;
+  Planner planner_;
   std::uint32_t index_;
   std::uint32_t node_base_;
   sim::EventQueue events_;
@@ -209,6 +210,7 @@ class Region : public PlanResolver {
   std::uint64_t urgent_reservations_ = 0;
   std::uint64_t des_events_ = 0;
   std::uint64_t retries_ = 0;
+  std::uint64_t plans_ = 0;
   std::uint64_t dropped_ = 0;
   /// Pack placements performed.
   std::uint64_t colocations_ = 0;

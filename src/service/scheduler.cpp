@@ -44,17 +44,6 @@ void OnlineScheduler::ensure_region_caches(std::uint32_t regions) {
   }
 }
 
-void OnlineScheduler::ensure_planners(std::uint32_t regions) {
-  // region_count is a pure function of the (immutable) config, so the
-  // node slices never shift between run() calls.
-  while (planners_.size() < regions) {
-    const auto r = static_cast<std::uint32_t>(planners_.size());
-    planners_.push_back(std::make_unique<Planner>(
-        config_, region_node_base(config_.nodes, regions, r),
-        region_node_count(config_.nodes, regions, r)));
-  }
-}
-
 Expected<ServiceResult> OnlineScheduler::run(
     std::span<const Submission> submissions) {
   if (config_.nodes == 0) {
@@ -73,14 +62,6 @@ Expected<ServiceResult> OnlineScheduler::run(
   const std::uint32_t region_count = std::min(
       std::max<std::uint32_t>(1, config_.sharding.regions), config_.nodes);
   ensure_region_caches(region_count);
-  ensure_planners(region_count);
-
-  // Planner stats are cumulative per planner (the plan cache persists
-  // across runs); this run's share is the before/after delta.
-  std::vector<PlannerStats> planner_before(region_count);
-  for (std::uint32_t r = 0; r < region_count; ++r) {
-    planner_before[r] = planners_[r]->stats();
-  }
 
   std::vector<std::unique_ptr<Region>> regions;
   regions.reserve(region_count);
@@ -89,7 +70,7 @@ Expected<ServiceResult> OnlineScheduler::run(
     InterferenceTable& interference =
         r == 0 ? interference_ : *extra_interference_[r - 1];
     regions.push_back(std::make_unique<Region>(
-        config_, cache, interference, *planners_[r], r,
+        config_, cache, interference, r,
         region_node_base(config_.nodes, region_count, r),
         region_node_count(config_.nodes, region_count, r)));
   }
@@ -191,7 +172,7 @@ Expected<ServiceResult> OnlineScheduler::run(
   CacheStats cache_stats;
   std::uint64_t retries = 0, dropped = 0, colocations = 0, stage_hits = 0;
   std::uint64_t des_events = 0, evictions = 0;
-  std::uint64_t plans = 0, plan_cache_hits = 0, plan_cache_misses = 0;
+  std::uint64_t plans = 0;
   Bytes gc_bytes = 0, residency_high_water = 0;
   std::int64_t interference_delta_ns = 0;
   pmemsim::AllocatorCounters allocator;
@@ -211,6 +192,7 @@ Expected<ServiceResult> OnlineScheduler::run(
     cache_stats.misses += cache.misses;
     cache_stats.evictions += cache.evictions;
     retries += region.retries();
+    plans += region.plans();
     dropped += region.dropped();
     colocations += region.colocations();
     stage_hits += region.stage_hits();
@@ -222,10 +204,6 @@ Expected<ServiceResult> OnlineScheduler::run(
     residency_high_water =
         std::max(residency_high_water, residency.residency_high_water());
     allocator += region_allocator_counters(r) - counters_before[r];
-    const PlannerStats& planner = planners_[r]->stats();
-    plans += planner.plans - planner_before[r].plans;
-    plan_cache_hits += planner.cache_hits - planner_before[r].cache_hits;
-    plan_cache_misses += planner.cache_misses - planner_before[r].cache_misses;
   }
 
   result.metrics = aggregate_metrics(
@@ -241,8 +219,6 @@ Expected<ServiceResult> OnlineScheduler::run(
   result.metrics.planner_window = std::max<std::uint32_t>(
       1, config_.planner.window);
   result.metrics.plans = plans;
-  result.metrics.plan_cache_hits = plan_cache_hits;
-  result.metrics.plan_cache_misses = plan_cache_misses;
   return result;
 }
 

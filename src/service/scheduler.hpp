@@ -111,10 +111,9 @@ struct ServiceConfig {
   /// cores without changing the schedule. Forced single-threaded when
   /// a tracer is attached (the Tracer sink is not thread-safe).
   ShardingConfig sharding;
-  /// Placement planner: lookahead window size and the memoized plan
-  /// cache (service/planner.hpp). The default — window 1, cache off —
-  /// reproduces the classic greedy one-submission-at-a-time path
-  /// byte-identically.
+  /// Placement planner: lookahead window size (service/planner.hpp).
+  /// The default, window 1, reproduces the classic greedy
+  /// one-submission-at-a-time path byte-identically.
   PlannerConfig planner;
   /// Optional span/instant sink: per-node workflow spans on "node-<i>"
   /// tracks, admission instants on the "service" track. Must outlive
@@ -155,11 +154,6 @@ class OnlineScheduler {
   /// pairs persist across run() calls, exactly like the primary.
   void ensure_region_caches(std::uint32_t regions);
 
-  /// Lazily builds one Planner per region. Planners (and their plan
-  /// caches) persist across run() calls, like the profile caches — the
-  /// steady-state hit rate compounds over a long-lived service.
-  void ensure_planners(std::uint32_t regions);
-
   ServiceConfig config_;
   /// Prototype for the extra per-region caches' executors and
   /// measurement runners: the same platform/devices the primary pair
@@ -177,9 +171,6 @@ class OnlineScheduler {
   /// stable across the vector growing when `sharding.regions` does).
   std::vector<std::unique_ptr<ProfileCache>> extra_caches_;
   std::vector<std::unique_ptr<InterferenceTable>> extra_interference_;
-  /// Region r owns planners_[r]; regions never share a plan cache
-  /// (unique_ptr keeps them stable as the vector grows).
-  std::vector<std::unique_ptr<Planner>> planners_;
 };
 
 /// Position of `config` in Table I order (core::all_configs()).

@@ -90,9 +90,7 @@ EpochRunStats run_epochs(std::span<const std::unique_ptr<Region>> regions,
     // submission re-enters arrival at the barrier time with a fresh
     // retry budget (it was admitted once already; the new region's
     // queue re-classifies it). Its next placement is planned by the
-    // *target* region's planner over the target's node slice — plan
-    // caches are per-region, so the migration can't replay a decision
-    // keyed on the donor's fleet state.
+    // *target* region's planner over the target's node slice.
     std::vector<bool> used(count, false);
     for (std::size_t donor = 0; donor < count; ++donor) {
       if (!regions[donor]->has_stealable_head(boundary)) continue;

@@ -3,15 +3,13 @@
 // The service fleet can be partitioned into *regions*: contiguous node
 // slices, each a fully independent sub-scheduler with its own
 // sim::EventQueue, Fleet, SubmissionQueue, ProfileCache,
-// InterferenceTable, and Planner (candidate/score stages plus the
-// memoized plan cache — service/planner.hpp). A region's planner plans
-// only over the region's own node slice, so lookahead windows and plan
-// caches never observe another region's fleet state and the sharded
+// InterferenceTable, and Planner (service/planner.hpp). A region's
+// planner plans only over the region's own node slice, so lookahead
+// windows never observe another region's fleet state and the sharded
 // schedule stays byte-identical per worker count. Submissions route to
-// regions by a stable hash of
-// their id (splitmix64 — the route depends only on the submission, so
-// replays are reproducible no matter how the stream was generated or
-// reordered).
+// regions by a stable hash of their id (splitmix64 — the route depends
+// only on the submission, so replays are reproducible no matter how the
+// stream was generated or reordered).
 //
 // Regions interact ONLY at epoch barriers. The driver advances every
 // region to the next boundary t = Δ·k (each region processes events

@@ -134,7 +134,12 @@ class BenchJsonMalformedTest
       public ::testing::WithParamInterface<const char*> {};
 
 TEST_P(BenchJsonMalformedTest, MalformedInputStartsEmpty) {
-  const std::string path = path_for("malformed");
+  // One file per case: ctest -j runs the cases as concurrent processes.
+  std::string name = ::testing::UnitTest::GetInstance()
+                         ->current_test_info()
+                         ->name();  // "MalformedInputStartsEmpty/<i>"
+  name.replace(0, name.rfind('/') + 1, "malformed_");
+  const std::string path = path_for(name.c_str());
   write_file(path, GetParam());
   BenchJson json(path);
   // A malformed file must not leak partial sections into the rewrite.

@@ -14,6 +14,21 @@ RunningTask task_with_work(SimDuration work_ns) {
   return task;
 }
 
+/// Reference for the fleet's idle index: an O(nodes × slots) scan for
+/// nodes whose every slot is free at `now` and has no task attached.
+std::vector<std::uint32_t> idle_nodes_linear(const Fleet& fleet, SimTime now) {
+  std::vector<std::uint32_t> idle;
+  for (std::uint32_t i = 0; i < fleet.size(); ++i) {
+    const auto& slots = fleet.node(i).slots;
+    if (std::all_of(slots.begin(), slots.end(), [now](const SlotState& s) {
+          return s.free_at_ns <= now && !s.running.has_value();
+        })) {
+      idle.push_back(i);
+    }
+  }
+  return idle;
+}
+
 TEST(InterferenceScaled, ExactAtFactorOne) {
   // Factor 1.0 must stay on the integer path: no double round-trip, no
   // off-by-one from ceil.
@@ -140,54 +155,67 @@ TEST(Fleet, PreemptReturnsSettledRemainingWork) {
 }
 
 TEST(FleetIdleIndex, MatchesLinearScanUnderChurn) {
-  // The idle-slot index must agree with the reference O(nodes) linear
-  // scan after any interleaving of start/complete/preempt, for both
-  // orderings (first-fit by index, least-loaded by accumulated busy
-  // time) — including mid-drain nodes, which stay indexed but are
-  // filtered at query time.
-  Fleet fleet(7, 2);
-  std::uint64_t rng = 0x1D1E5EEDull;
-  auto next = [&rng](std::uint64_t bound) {
-    rng = rng * 6364136223846793005ull + 1442695040888963407ull;
-    return (rng >> 33) % bound;
-  };
-  SimTime now = 0;
-  std::vector<SlotRef> running;
-  auto check = [&](SimTime at) {
-    EXPECT_EQ(fleet.pick_idle_node(PlacementPolicy::kFirstFit, at),
-              fleet.pick_idle_node_linear(PlacementPolicy::kFirstFit, at));
-    EXPECT_EQ(fleet.pick_idle_node(PlacementPolicy::kLeastLoaded, at),
-              fleet.pick_idle_node_linear(PlacementPolicy::kLeastLoaded, at));
-  };
-  for (int step = 0; step < 2000; ++step) {
-    now += next(50);
-    const std::uint64_t op = next(3);
-    if (op == 0 || running.empty()) {
-      const auto node = static_cast<std::uint32_t>(next(fleet.size()));
-      for (std::uint32_t s = 0; s < fleet.tenants_per_node(); ++s) {
-        const SlotState& state = fleet.node(node).slots[s];
-        if (!state.running.has_value() && state.free_at_ns <= now) {
-          const SimDuration busy = 20 + next(200);
-          fleet.start(SlotRef{node, s}, now, busy, task_with_work(busy));
-          running.push_back(SlotRef{node, s});
-          break;
+  // The idle-node index must agree with the reference linear scan after
+  // any interleaving of start/complete/preempt — including mid-drain
+  // nodes, which stay indexed but are filtered at query time. The
+  // second, start-heavy mix keeps the fleet near saturation, so the
+  // existence query also meets fleets whose only task-free nodes are
+  // still draining.
+  for (const std::uint64_t start_weight : {1ull, 3ull}) {
+    Fleet fleet(7, 2);
+    std::uint64_t rng = 0x1D1E5EEDull;
+    auto next = [&rng](std::uint64_t bound) {
+      rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+      return (rng >> 33) % bound;
+    };
+    SimTime now = 0;
+    std::vector<SlotRef> running;
+    std::vector<std::uint32_t> indexed;
+    bool saw_no_idle = false;
+    auto check = [&](SimTime at) {
+      const std::vector<std::uint32_t> expected = idle_nodes_linear(fleet, at);
+      fleet.idle_nodes(at, indexed);
+      EXPECT_EQ(indexed, expected) << "at " << at;
+      EXPECT_EQ(fleet.has_idle_node(at), !expected.empty()) << "at " << at;
+      saw_no_idle = saw_no_idle || expected.empty();
+    };
+    for (int step = 0; step < 2000; ++step) {
+      now += next(50);
+      // op < start_weight starts a task; the next value completes one;
+      // the last preempts one that is still running.
+      const std::uint64_t op = next(start_weight + 2);
+      if (op < start_weight || running.empty()) {
+        const auto node = static_cast<std::uint32_t>(next(fleet.size()));
+        for (std::uint32_t s = 0; s < fleet.tenants_per_node(); ++s) {
+          const SlotState& state = fleet.node(node).slots[s];
+          if (!state.running.has_value() && state.free_at_ns <= now) {
+            const SimDuration busy = 20 + next(200);
+            fleet.start(SlotRef{node, s}, now, busy, task_with_work(busy));
+            running.push_back(SlotRef{node, s});
+            break;
+          }
+        }
+      } else {
+        const std::uint64_t pick = next(running.size());
+        const SlotRef ref = running[pick];
+        running.erase(running.begin() + static_cast<std::ptrdiff_t>(pick));
+        const SimTime free_at =
+            fleet.node(ref.node).slots[ref.slot].free_at_ns;
+        if (op == start_weight || free_at <= now) {
+          (void)fleet.complete(ref);
+        } else {
+          // Preempt strictly inside the occupancy window; the drain
+          // keeps the slot busy, exercising the drained-but-indexed
+          // state.
+          (void)fleet.preempt(ref, now, /*checkpoint_ns=*/next(40));
         }
       }
-    } else {
-      const std::uint64_t pick = next(running.size());
-      const SlotRef ref = running[pick];
-      running.erase(running.begin() + static_cast<std::ptrdiff_t>(pick));
-      const SimTime free_at = fleet.node(ref.node).slots[ref.slot].free_at_ns;
-      if (op == 1 || free_at <= now) {
-        (void)fleet.complete(ref);
-      } else {
-        // Preempt strictly inside the occupancy window; the drain keeps
-        // the slot busy, exercising the drained-but-indexed state.
-        (void)fleet.preempt(ref, now, /*checkpoint_ns=*/next(40));
-      }
+      check(now);
+      check(now + 25);
     }
-    check(now);
-    check(now + 25);
+    if (start_weight > 1) {
+      EXPECT_TRUE(saw_no_idle);
+    }
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/strings.hpp"
 #include "devices/optane_device.hpp"
 #include "stack/payload.hpp"
 
@@ -250,7 +251,7 @@ TEST_F(NovaFsTest, CompactionShrinksDirectoryChain) {
 
 TEST_F(NovaFsTest, CompactionSurvivesRecovery) {
   for (int i = 0; i < 5; ++i) {
-    const auto inode = fs_.create("f" + std::to_string(i)).value();
+    const auto inode = fs_.create(format("f%d", i)).value();
     ASSERT_TRUE(fs_.append(inode, data(static_cast<std::uint64_t>(i), 128))
                     .has_value());
   }

@@ -115,13 +115,6 @@ int main(int argc, char** argv) {
                 "lookahead window: submissions planned jointly per "
                 "scheduler wake-up (1 = classic greedy, byte-identical to "
                 "the pre-planner scheduler)");
-  flags.add_bool("plan-cache", false,
-                 "memoize window plans keyed on (window class sequence x "
-                 "fleet/device/residency state); schedules are unchanged, "
-                 "repeated states skip re-planning");
-  flags.add_int("plan-cache-capacity", 1024,
-                "memoized plans retained before the cache resets (with "
-                "--plan-cache)");
   flags.add_string("backend", "optane-gen1",
                    "memory backend preset for every node (see docs/DEVICES.md;"
                    " 'a/b' selects per-socket backends)");
@@ -262,17 +255,12 @@ int main(int argc, char** argv) {
                           : service::PreemptionPolicy::kNone;
   config.cache_capacity =
       static_cast<std::size_t>(flags.get_int("cache-capacity"));
-  if (flags.get_int("planner-window") < 1 ||
-      flags.get_int("plan-cache-capacity") < 1) {
-    std::cerr << "error: --planner-window and --plan-cache-capacity must "
-                 "be >= 1\n";
+  if (flags.get_int("planner-window") < 1) {
+    std::cerr << "error: --planner-window must be >= 1\n";
     return 1;
   }
   config.planner.window =
       static_cast<std::uint32_t>(flags.get_int("planner-window"));
-  config.planner.plan_cache = flags.get_bool("plan-cache");
-  config.planner.plan_cache_capacity =
-      static_cast<std::size_t>(flags.get_int("plan-cache-capacity"));
   const double pmem_capacity_gb = flags.get_double("pmem-capacity");
   if (pmem_capacity_gb < 0.0 || flags.get_double("staging") < 0.0 ||
       flags.get_int("retain-versions") < 0) {
@@ -338,10 +326,9 @@ int main(int argc, char** argv) {
 
   if (flags.get_bool("compare")) {
     TextTable table({"Policy", "Mean delay", "P99 delay", "Makespan",
-                     "Slowdown", "Util", "Plans", "Plan hits"},
+                     "Slowdown", "Util", "Plans"},
                     {Align::kLeft, Align::kRight, Align::kRight, Align::kRight,
-                     Align::kRight, Align::kRight, Align::kRight,
-                     Align::kRight});
+                     Align::kRight, Align::kRight, Align::kRight});
     std::vector<service::PlacementPolicy> policies = {
         service::PlacementPolicy::kFirstFit,
         service::PlacementPolicy::kLeastLoaded,
@@ -371,16 +358,14 @@ int main(int argc, char** argv) {
                      format("%.3f s", static_cast<double>(m.makespan_ns) / 1e9),
                      format("%.3fx", m.slowdown.mean),
                      format("%.1f %%", 100.0 * m.mean_utilization),
-                     format("%llu", static_cast<unsigned long long>(m.plans)),
-                     format("%.1f %%", 100.0 * m.plan_cache_hit_rate())});
+                     format("%llu", static_cast<unsigned long long>(m.plans))});
       append_service_csv_row(csv, to_string(policy), m);
     }
     std::cout << format(
         "=== %zu submissions (%s), %u nodes, backend %s, "
-        "planner window %u%s ===\n\n",
+        "planner window %u ===\n\n",
         stream.size(), stream_origin.c_str(), config.nodes,
-        fleet_desc.c_str(), config.planner.window,
-        config.planner.plan_cache ? ", plan cache on" : "");
+        fleet_desc.c_str(), config.planner.window);
     table.write(std::cout);
   } else {
     auto policy = parse_policy(flags.get_string("policy"));
