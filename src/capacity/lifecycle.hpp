@@ -5,8 +5,9 @@
 // the channel holds the k most recent committed versions live and GC
 // reclaims everything older. Reclaiming is not free: superseded
 // snapshots are rewritten out of the log at device write cost, which
-// the DES charges as a write flow (workflow::Runner) or as dispatch
-// overhead (service layer).
+// the workflow engine (workflow::Runner::run_jobs, which runs pair,
+// co-located and DAG jobs) charges as a write flow, or the service
+// layer as dispatch overhead.
 //
 // novafs grows per-inode extent logs and a directory journal with
 // every operation and truncates them at periodic checkpoints

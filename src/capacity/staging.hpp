@@ -7,8 +7,10 @@
 // bandwidth. While the buffer has room, the writer sees DRAM latency;
 // once it fills, further bytes throttle to the drain rate — exactly
 // the behaviour of a bounded write-behind cache. The tier is pure
-// byte/time accounting; the DES owner (workflow::Runner) schedules the
-// actual drain traffic and calls `drained()` as it completes.
+// byte/time accounting; the workflow engine (workflow::Runner::run_jobs,
+// one tier per socket shared by every job with a channel there)
+// schedules the actual drain traffic and calls `drained()` as it
+// completes.
 #pragma once
 
 #include "common/units.hpp"
@@ -26,6 +28,9 @@ struct StagingParams {
   Rate drain_write_bw = pmemsim::OptaneParams{}.write_peak;
 
   [[nodiscard]] bool enabled() const noexcept { return stage_bytes != 0; }
+
+  friend bool operator==(const StagingParams&,
+                         const StagingParams&) = default;
 };
 
 struct StagingStats {

@@ -1,268 +1,11 @@
 #include "dag/runner.hpp"
 
-#include <algorithm>
-#include <map>
-#include <memory>
-
 #include "common/strings.hpp"
-#include "sim/engine.hpp"
-#include "sim/sync.hpp"
-#include "sim/task.hpp"
-#include "stack/nova_channel.hpp"
-#include "stack/nvstream.hpp"
-#include "workloads/synthetic.hpp"
 
 namespace pmemflow::dag {
-namespace {
 
-/// Mirrors workflow/runner.cpp's verify_part: mismatch count (0=clean).
-std::uint64_t verify_part(const stack::SnapshotPart& expected,
-                          const stack::SnapshotPart& actual) {
-  if (const auto* run = std::get_if<stack::SyntheticRun>(&expected)) {
-    const auto* actual_run = std::get_if<stack::SyntheticRun>(&actual);
-    if (actual_run == nullptr) return run->count;
-    return (*run == *actual_run) ? 0 : run->count;
-  }
-  const auto& expected_objects =
-      std::get<std::vector<stack::ObjectData>>(expected);
-  const auto* actual_objects =
-      std::get_if<std::vector<stack::ObjectData>>(&actual);
-  if (actual_objects == nullptr ||
-      actual_objects->size() != expected_objects.size()) {
-    return expected_objects.size();
-  }
-  std::uint64_t mismatches = 0;
-  for (std::size_t i = 0; i < expected_objects.size(); ++i) {
-    const auto& want = expected_objects[i];
-    const auto& got = (*actual_objects)[i];
-    if (want.index != got.index ||
-        want.payload.checksum() != got.payload.checksum()) {
-      ++mismatches;
-    }
-  }
-  return mismatches;
-}
-
-struct ComponentState;
-
-/// Per-edge simulation state: one channel plus the synchronization the
-/// pair runner keeps per workflow, because each edge *is* one
-/// writer→reader coupling.
-struct EdgeState {
-  const DagEdge* edge = nullptr;
-  std::size_t producer = 0;  // component indices
-  std::size_t consumer = 0;
-  topo::SocketId socket = 0;  // channel-hosting socket
-  std::uint32_t ranks = 0;
-
-  std::unique_ptr<stack::StreamChannel> channel;
-  std::unique_ptr<sim::VersionGate> version_gate;  // snapshot commits
-  std::unique_ptr<sim::Barrier> producer_barrier;
-  std::unique_ptr<sim::Barrier> consumer_barrier;
-  std::unique_ptr<sim::Semaphore> capacity;  // null when unbounded
-  std::unique_ptr<sim::VersionGate> capacity_gate;
-
-  capacity::StagingTier* staging = nullptr;  // per-socket, shared
-  std::unique_ptr<sim::VersionGate> drain_gate;
-  std::vector<std::uint32_t> drained_ranks;  // [version]
-  std::vector<bool> drain_complete;          // [version]
-  std::uint64_t drained_through = 0;
-
-  SimTime last_commit = 0;
-};
-
-/// Per-component simulation state. The part generator is the same
-/// SyntheticSimulation the pair model uses, so a component's payloads
-/// (and their checksums) are bit-identical to a pair writer built from
-/// the same fields.
-struct ComponentState {
-  const DagComponent* component = nullptr;
-  topo::SocketId socket = 0;
-  std::unique_ptr<workloads::SyntheticSimulation> model;
-  std::vector<EdgeState*> in_edges;   // edge-index order
-  std::vector<EdgeState*> out_edges;  // edge-index order
-
-  SimTime finish = 0;
-  std::uint64_t objects_verified = 0;
-  std::uint64_t verification_failures = 0;
-};
-
-struct RunState {
-  const DagSpec* dag = nullptr;
-  trace::Tracer* tracer = nullptr;
-  std::vector<std::unique_ptr<ComponentState>> components;
-  std::vector<std::unique_ptr<EdgeState>> edges;
-};
-
-/// Background drain of one staged part (pair-runner semantics): the
-/// real device write issues from the channel socket, and the drain gate
-/// advances contiguously once every rank of `version` has landed.
-sim::Task drain_part(EdgeState& edge, std::uint64_t version,
-                     std::uint32_t rank, stack::SnapshotPart part,
-                     Bytes staged_bytes) {
-  (void)rank;
-  co_await edge.channel->write_part(edge.socket, version, rank,
-                                    std::move(part), 0.0);
-  if (staged_bytes > 0) edge.staging->drained(staged_bytes);
-  edge.drained_ranks[version] += 1;
-  if (edge.drained_ranks[version] == edge.ranks) {
-    edge.drain_complete[version] = true;
-    while (edge.drained_through + 1 < edge.drain_complete.size() &&
-           edge.drain_complete[edge.drained_through + 1]) {
-      edge.drained_through += 1;
-      edge.drain_gate->advance_to(edge.drained_through);
-    }
-  }
-}
-
-/// Commits staged versions in order as their drains complete.
-sim::Task commit_pump(sim::Engine& engine, RunState& state, EdgeState& edge) {
-  const DagSpec& dag = *state.dag;
-  trace::Tracer* tracer = state.tracer;
-  for (std::uint64_t version = 1; version <= dag.iterations; ++version) {
-    co_await edge.drain_gate->wait_for(version);
-    edge.channel->commit_version(version);
-    if (tracer != nullptr) {
-      tracer->instant(std::string(edge.channel->name()),
-                      format("commit v%llu (drained)",
-                             static_cast<unsigned long long>(version)),
-                      engine.now());
-    }
-    edge.version_gate->advance_to(version);
-    if (version == dag.iterations) {
-      edge.last_commit = engine.now();
-    }
-  }
-}
-
-/// One component rank: per version, consume from every in-edge (reader
-/// role), then produce on every out-edge (writer role). The statement
-/// sequence per edge is byte-for-byte the pair runner's
-/// reader_rank/writer_rank body, so a two-component chain schedules
-/// identical DES events.
-sim::Task component_rank(sim::Engine& engine, RunState& state,
-                         ComponentState& comp, std::uint32_t rank) {
-  const DagSpec& dag = *state.dag;
-  const DagComponent& component = *comp.component;
-  trace::Tracer* tracer = state.tracer;
-  const std::string track =
-      format("%s/rank%u", component.name.c_str(), rank);
-  for (std::uint64_t version = 1; version <= dag.iterations; ++version) {
-    for (EdgeState* edge : comp.in_edges) {
-      if (tracer != nullptr) {
-        tracer->begin(track, format("wait v%llu",
-                                    static_cast<unsigned long long>(version)),
-                      engine.now());
-      }
-      co_await edge->version_gate->wait_for(version);
-      if (tracer != nullptr) tracer->end(track, engine.now());
-
-      const ComponentState& producer = *state.components[edge->producer];
-      stack::SnapshotPart part;
-      const double compute_per_op = component.analytics_ns_per_object;
-      if (tracer != nullptr) {
-        tracer->begin(track, format("read+analyze v%llu",
-                                    static_cast<unsigned long long>(version)),
-                      engine.now());
-      }
-      co_await edge->channel->read_part(comp.socket, version, rank, part,
-                                        compute_per_op);
-      if (tracer != nullptr) tracer->end(track, engine.now());
-
-      if (dag.verify_reads) {
-        const stack::SnapshotPart expected =
-            producer.model->part_for(rank, component.ranks, version);
-        comp.verification_failures += verify_part(expected, part);
-        comp.objects_verified += stack::part_object_count(expected);
-      }
-
-      const bool releaser = co_await edge->consumer_barrier->arrive_and_wait();
-      if (releaser) {
-        edge->channel->recycle_version(version);
-        if (edge->capacity != nullptr) {
-          edge->capacity->release();
-        }
-      }
-    }
-
-    if (!comp.out_edges.empty()) {
-      for (EdgeState* edge : comp.out_edges) {
-        if (edge->capacity != nullptr) {
-          // Finite channel: one slot per in-flight version, acquired by
-          // the first rank on behalf of the component.
-          if (rank == 0) {
-            if (tracer != nullptr) {
-              tracer->begin(track, "wait capacity", engine.now());
-            }
-            co_await edge->capacity->acquire();
-            if (tracer != nullptr) tracer->end(track, engine.now());
-            edge->capacity_gate->advance_to(version);
-          } else {
-            co_await edge->capacity_gate->wait_for(version);
-          }
-        }
-      }
-      const double compute =
-          comp.model->compute_ns_per_iteration(rank, component.ranks);
-      bool carries_compute = true;  // bulk compute rides the first edge
-      for (EdgeState* edge : comp.out_edges) {
-        stack::SnapshotPart part =
-            comp.model->part_for(rank, component.ranks, version);
-        const std::uint64_t objects = stack::part_object_count(part);
-        const double edge_compute = carries_compute ? compute : 0.0;
-        const double compute_per_op =
-            (objects > 0) ? edge_compute / static_cast<double>(objects) : 0.0;
-        if (objects == 0 && edge_compute > 0.0) {
-          co_await sim::sleep_for(engine,
-                                  static_cast<SimDuration>(edge_compute));
-        }
-        if (tracer != nullptr) {
-          tracer->begin(track,
-                        format("compute+write v%llu",
-                               static_cast<unsigned long long>(version)),
-                        engine.now());
-        }
-        if (edge->staging != nullptr) {
-          if (objects > 0 && edge_compute > 0.0) {
-            co_await sim::sleep_for(engine,
-                                    static_cast<SimDuration>(edge_compute));
-          }
-          const capacity::AbsorbResult absorbed =
-              edge->staging->absorb(stack::part_bytes(part));
-          if (absorbed.absorb_ns > 0) {
-            co_await sim::sleep_for(engine, absorbed.absorb_ns);
-          }
-          engine.spawn(drain_part(*edge, version, rank, std::move(part),
-                                  absorbed.staged_bytes));
-        } else {
-          co_await edge->channel->write_part(comp.socket, version, rank,
-                                             std::move(part), compute_per_op);
-        }
-        if (tracer != nullptr) tracer->end(track, engine.now());
-        carries_compute = false;
-        const bool releaser =
-            co_await edge->producer_barrier->arrive_and_wait();
-        if (releaser && edge->staging == nullptr) {
-          edge->channel->commit_version(version);
-          if (tracer != nullptr) {
-            tracer->instant(std::string(edge->channel->name()),
-                            format("commit v%llu",
-                                   static_cast<unsigned long long>(version)),
-                            engine.now());
-          }
-          edge->version_gate->advance_to(version);
-          if (version == dag.iterations) {
-            edge->last_commit = engine.now();
-          }
-        }
-      }
-    }
-  }
-  comp.finish = std::max(comp.finish, engine.now());
-}
-
-Status validate_run(const topo::PlatformSpec& platform, const DagSpec& dag,
-                    const DagRunOptions& options) {
+Expected<DagRunResult> run(const workflow::Runner& runner, const DagSpec& dag,
+                           const DagRunOptions& options) {
   if (auto status = validate(dag); !status) {
     return Unexpected{status.error()};
   }
@@ -275,208 +18,48 @@ Status validate_run(const topo::PlatformSpec& platform, const DagSpec& dag,
     return make_error(format("placement pins %zu edges but the dag has %zu",
                              options.edge_sockets.size(), dag.edges.size()));
   }
-  for (topo::SocketId socket : options.component_sockets) {
-    if (socket >= platform.sockets) {
-      return make_error("placement references a socket the platform lacks");
-    }
-  }
-  for (std::size_t i = 0; i < dag.edges.size(); ++i) {
-    const topo::SocketId socket = options.edge_sockets[i];
-    if (socket >= platform.sockets) {
-      return make_error("placement references a socket the platform lacks");
-    }
-    const DagEdge& edge = dag.edges[i];
-    const topo::SocketId producer =
-        options.component_sockets[*component_index(dag, edge.producer)];
-    const topo::SocketId consumer =
-        options.component_sockets[*component_index(dag, edge.consumer)];
-    if (socket != producer && socket != consumer) {
-      return make_error(
-          format("edge %s -> %s channel must be local to one endpoint",
-                 edge.producer.c_str(), edge.consumer.c_str()));
-    }
-  }
-  return ok_status();
-}
 
-}  // namespace
-
-Runner::Runner(topo::PlatformSpec platform, devices::NodeDevices devices)
-    : platform_(std::move(platform)), devices_(std::move(devices)) {
-  const auto& backends = platform_.socket_backends;
-  if (backends.empty()) return;
-  const auto& registry = devices::DeviceRegistry::builtin();
-  for (std::size_t socket = 0; socket < backends.size(); ++socket) {
-    auto preset = registry.find(backends[socket]);
-    if (!preset.has_value()) {
-      backend_error_ = preset.error().message;
-      return;
-    }
-    if (socket == 0) {
-      devices_ = devices::NodeDevices(preset->spec);
-    } else {
-      devices_.set_socket(static_cast<topo::SocketId>(socket), preset->spec);
-    }
-  }
-}
-
-Expected<DagRunResult> Runner::run(const DagSpec& dag,
-                                   const DagRunOptions& options) const {
-  if (!backend_error_.empty()) {
-    return make_error(backend_error_);
-  }
-  if (auto valid = validate_run(platform_, dag, options); !valid) {
-    return Unexpected{valid.error()};
-  }
-  // Joint per-socket core-demand validation; the allocations release
-  // with the Platform object. Fused stages genuinely share a socket's
-  // cores, so an over-committed grouping is rejected here — gracefully,
-  // the caller (service layer) converts this into a defer.
-  topo::Platform platform(platform_);
+  workflow::Job job;
+  job.iterations = dag.iterations;
+  job.verify_reads = dag.verify_reads;
+  job.staging = options.staging;
+  job.tracer = options.tracer;
   for (std::size_t i = 0; i < dag.components.size(); ++i) {
-    auto cores = platform.allocate_cores(options.component_sockets[i],
-                                         dag.components[i].ranks);
-    if (!cores.has_value()) return Unexpected{cores.error()};
+    job.components.push_back(
+        to_component(dag.components[i], options.component_sockets[i]));
   }
-
-  sim::Engine engine;
-
-  // One device per socket hosting at least one channel; one DRAM
-  // staging tier per such socket when staging is requested.
-  std::map<topo::SocketId, std::unique_ptr<devices::MemoryDevice>> devices;
-  std::map<topo::SocketId, std::unique_ptr<capacity::StagingTier>> stages;
-  for (topo::SocketId socket : options.edge_sockets) {
-    if (!devices.contains(socket)) {
-      const devices::DeviceSpec& spec = devices_.for_socket(socket);
-      auto device = spec.instantiate(
-          engine, socket, spec.capacity_or(platform_.pmem_per_socket()));
-      device->set_allocator_memoization(allocator_memoization_);
-      devices.emplace(socket, std::move(device));
-    }
-    if (options.staging.enabled() && !stages.contains(socket)) {
-      stages.emplace(socket,
-                     std::make_unique<capacity::StagingTier>(options.staging));
-    }
-  }
-
-  RunState state;
-  state.dag = &dag;
-  state.tracer = options.tracer;
-  for (std::size_t i = 0; i < dag.components.size(); ++i) {
-    const DagComponent& component = dag.components[i];
-    auto comp = std::make_unique<ComponentState>();
-    comp->component = &component;
-    comp->socket = options.component_sockets[i];
-    workloads::SyntheticSimulation::Params params;
-    params.object_size = component.object_size;
-    params.objects_per_rank = component.objects_per_rank;
-    params.compute_ns = component.compute_ns;
-    params.seed = component.seed;
-    params.name = component.name;
-    comp->model =
-        std::make_unique<workloads::SyntheticSimulation>(std::move(params));
-    state.components.push_back(std::move(comp));
-  }
+  DagRunResult result;
   for (std::size_t i = 0; i < dag.edges.size(); ++i) {
     const DagEdge& edge = dag.edges[i];
-    auto es = std::make_unique<EdgeState>();
-    es->edge = &edge;
-    es->producer = *component_index(dag, edge.producer);
-    es->consumer = *component_index(dag, edge.consumer);
-    es->socket = options.edge_sockets[i];
-    es->ranks = dag.components[es->producer].ranks;
-
-    devices::MemoryDevice& device = *devices.at(es->socket);
-    // A single-edge DAG names its channel after the job, matching the
-    // pair runner byte for byte; multi-edge DAGs qualify per edge.
-    const std::string channel_name =
+    const std::size_t producer = *component_index(dag, edge.producer);
+    const std::size_t consumer = *component_index(dag, edge.consumer);
+    // A single-edge DAG names its channel after the job, as a pair run
+    // does; multi-edge DAGs qualify per edge.
+    const std::string channel =
         dag.edges.size() == 1
             ? dag.label
             : format("%s.%s-%s", dag.label.c_str(), edge.producer.c_str(),
                      edge.consumer.c_str());
-    switch (edge.stack) {
-      case workflow::WorkflowSpec::Stack::kNvStream:
-        es->channel = std::make_unique<stack::NvStreamChannel>(
-            device, channel_name, es->ranks, stack::nvstream_cost_model());
-        break;
-      case workflow::WorkflowSpec::Stack::kNova:
-        es->channel = std::make_unique<stack::NovaChannel>(
-            device, channel_name, es->ranks, stack::nova_cost_model());
-        break;
-    }
-    es->version_gate = std::make_unique<sim::VersionGate>(engine);
-    es->producer_barrier = std::make_unique<sim::Barrier>(engine, es->ranks);
-    es->consumer_barrier = std::make_unique<sim::Barrier>(engine, es->ranks);
-    if (edge.capacity != 0) {
-      es->capacity = std::make_unique<sim::Semaphore>(engine, edge.capacity);
-      es->capacity_gate = std::make_unique<sim::VersionGate>(engine);
-    }
-    if (options.staging.enabled()) {
-      es->staging = stages.at(es->socket).get();
-      es->drain_gate = std::make_unique<sim::VersionGate>(engine);
-      es->drained_ranks.assign(dag.iterations + 1, 0);
-      es->drain_complete.assign(dag.iterations + 1, false);
-    }
-    state.components[es->producer]->out_edges.push_back(es.get());
-    state.components[es->consumer]->in_edges.push_back(es.get());
-    state.edges.push_back(std::move(es));
-  }
-
-  // Spawn rank-major across components in spec order: for a
-  // producer-then-consumer two-component chain this interleaves
-  // writer0, reader0, writer1, reader1, … exactly like the pair
-  // runner's spawn loop.
-  std::uint32_t max_ranks = 0;
-  for (const auto& comp : state.components) {
-    max_ranks = std::max(max_ranks, comp->component->ranks);
-  }
-  for (std::uint32_t rank = 0; rank < max_ranks; ++rank) {
-    for (auto& comp : state.components) {
-      if (rank < comp->component->ranks) {
-        engine.spawn(component_rank(engine, state, *comp, rank));
-      }
-    }
-  }
-  for (auto& edge : state.edges) {
-    if (edge->staging != nullptr) {
-      engine.spawn(commit_pump(engine, state, *edge));
-    }
-  }
-
-  const sim::RunStats engine_stats = engine.run_to_completion();
-  for (const auto& [socket, device] : devices) {
-    allocator_counters_ += device->allocator_counters();
-  }
-
-  DagRunResult result;
-  for (const auto& comp : state.components) {
-    result.total_ns = std::max(result.total_ns, comp->finish);
-    result.objects_verified += comp->objects_verified;
-    result.verification_failures += comp->verification_failures;
-  }
-  for (const auto& edge : state.edges) {
-    result.producer_span_ns =
-        std::max(result.producer_span_ns, edge->last_commit);
-    result.edges.push_back(edge->channel->stats());
-    const topo::SocketId producer_socket =
-        state.components[edge->producer]->socket;
-    const topo::SocketId consumer_socket =
-        state.components[edge->consumer]->socket;
-    if (producer_socket == consumer_socket) {
+    job.edges.push_back({producer, consumer, options.edge_sockets[i],
+                         edge.stack, std::nullopt, edge.capacity, {}, channel,
+                         channel});
+    if (options.component_sockets[producer] ==
+        options.component_sockets[consumer]) {
       result.ephemeral_edges += 1;
     }
   }
-  for (const auto& [socket, device] : devices) {
-    result.devices.emplace_back(socket, device->stats());
-  }
-  for (const auto& [socket, stage] : stages) {
-    const capacity::StagingStats& stats = stage->stats();
+
+  auto run = runner.run_jobs({&job, 1});
+  if (!run.has_value()) return Unexpected{run.error()};
+  static_cast<workflow::JobResult&>(result) = std::move(run->jobs.front());
+  result.devices.assign(run->devices.begin(), run->devices.end());
+  for (const auto& [socket, stats] : run->staging) {
     result.staging.writes += stats.writes;
     result.staging.hits += stats.hits;
     result.staging.bytes_staged += stats.bytes_staged;
     result.staging.bytes_throttled += stats.bytes_throttled;
   }
-  result.engine_events = engine_stats.events_processed;
+  result.engine_events = run->engine_events;
   return result;
 }
 

@@ -1,20 +1,20 @@
-// DAG workflow execution engine.
+// DAG workflow runs on the workflow engine.
 //
-// Generalizes workflow::Runner from one writer+reader pair to an
-// arbitrary component DAG: one coroutine per component rank and one
-// stack channel per edge on the same DES. A component consumes version
-// v from every in-edge (reader role: per-object interleaved compute),
-// then produces version v on every out-edge (writer role: bulk compute
-// folded into the first write), honoring per-edge capacity bounds and
-// the DRAM staging tier exactly like the pair runner.
+// A DagSpec becomes one workflow::Job: one engine component per DAG
+// component (a SyntheticSimulation built from its producer fields and
+// a constant-rate SyntheticAnalytics from `analytics_ns_per_object`)
+// and one engine edge per DAG edge, so a component consumes version v
+// from every in-edge, then produces version v on every out-edge,
+// honoring per-edge capacity bounds and the DRAM staging tier.
 //
 // Placement is per component (socket pin) and per edge (which socket's
-// PMEM holds the channel). Unlike the pair runner, producer and
+// PMEM holds the channel). Unlike a pair deployment, producer and
 // consumer MAY share a socket: that is fusion — the edge between them
 // becomes "ephemeral" (every access classifies local, no UPI leg),
 // while cut edges pay the interconnect cost. A two-component chain
-// placed on distinct sockets replays byte-identically to
-// workflow::Runner (pinned by tests/dag/runner_test.cpp).
+// placed on distinct sockets is the same job a pair run builds, so it
+// replays byte-identically to workflow::Runner::run (pinned by
+// tests/dag/runner_test.cpp).
 #pragma once
 
 #include <utility>
@@ -23,9 +23,9 @@
 #include "capacity/staging.hpp"
 #include "common/expected.hpp"
 #include "dag/spec.hpp"
-#include "devices/registry.hpp"
 #include "topo/platform.hpp"
 #include "trace/tracer.hpp"
+#include "workflow/runner.hpp"
 
 namespace pmemflow::dag {
 
@@ -37,22 +37,14 @@ struct DagRunOptions {
   /// equal the producer's or the consumer's socket.
   std::vector<topo::SocketId> edge_sockets;
   /// DRAM staging tier applied on every socket hosting a channel
-  /// (disabled by default; identical semantics to the pair runner).
+  /// (disabled by default; identical semantics to a pair run).
   capacity::StagingParams staging;
   trace::Tracer* tracer = nullptr;
 };
 
-/// Measured outcome of one DAG run.
-struct DagRunResult {
-  /// End-to-end runtime: time the last component rank finished.
-  SimDuration total_ns = 0;
-  /// Time the last version of the last edge committed (the pair
-  /// runner's writer_span generalized over all producers).
-  SimDuration producer_span_ns = 0;
-  std::uint64_t objects_verified = 0;
-  std::uint64_t verification_failures = 0;
-  /// Per-edge channel stats, indexed like DagSpec::edges.
-  std::vector<stack::ChannelStats> edges;
+/// Measured outcome of one DAG run: the engine's job result (edges
+/// indexed like DagSpec::edges) plus the node it ran on.
+struct DagRunResult : workflow::JobResult {
   /// Stats of every socket that hosted a channel, ascending socket id.
   std::vector<std::pair<topo::SocketId, sim::FlowResourceStats>> devices;
   /// Staging stats summed over the per-socket tiers (zero when off).
@@ -62,52 +54,12 @@ struct DagRunResult {
   std::uint64_t engine_events = 0;
 };
 
-/// Reusable DAG run harness; owns only immutable configuration
-/// (platform shape + per-socket memory backends), mirroring
-/// workflow::Runner so the service layer can build one from an
-/// executor's platform()/devices().
-class Runner {
- public:
-  explicit Runner(topo::PlatformSpec platform = {},
-                  devices::NodeDevices devices = {});
-
-  /// Simulates one DAG deployment. Fails with no side effects on
-  /// invalid specs or placements (unknown sockets, edge not local to an
-  /// endpoint, per-socket core demand exceeding cores_per_socket).
-  Expected<DagRunResult> run(const DagSpec& dag,
-                             const DagRunOptions& options) const;
-
-  [[nodiscard]] const topo::PlatformSpec& platform() const noexcept {
-    return platform_;
-  }
-  [[nodiscard]] const devices::NodeDevices& devices() const noexcept {
-    return devices_;
-  }
-
-  void set_allocator_memoization(bool enabled) noexcept {
-    allocator_memoization_ = enabled;
-  }
-  [[nodiscard]] bool allocator_memoization() const noexcept {
-    return allocator_memoization_;
-  }
-
-  /// Allocator counters summed over every device of every run so far.
-  [[nodiscard]] const pmemsim::AllocatorCounters& allocator_counters()
-      const noexcept {
-    return allocator_counters_;
-  }
-  void reset_allocator_counters() noexcept {
-    allocator_counters_ = pmemsim::AllocatorCounters{};
-  }
-
- private:
-  topo::PlatformSpec platform_;
-  devices::NodeDevices devices_;
-  bool allocator_memoization_ = true;
-  mutable pmemsim::AllocatorCounters allocator_counters_;
-  /// Non-empty when `platform.socket_backends` failed to resolve; every
-  /// run reports it as a recoverable error (workflow::Runner idiom).
-  std::string backend_error_;
-};
+/// Simulates one DAG deployment on `runner`'s platform and backends
+/// (its memoization setting and allocator counters apply). Fails with
+/// no side effects on invalid specs or placements (unknown sockets,
+/// edge not local to an endpoint, per-socket core demand exceeding
+/// cores_per_socket).
+Expected<DagRunResult> run(const workflow::Runner& runner, const DagSpec& dag,
+                           const DagRunOptions& options);
 
 }  // namespace pmemflow::dag

@@ -578,23 +578,34 @@ Expected<workflow::WorkflowSpec> to_pair_workflow(const DagSpec& dag) {
   const DagComponent& consumer =
       dag.components[*component_index(dag, edge.consumer)];
 
-  workloads::SyntheticSimulation::Params sim;
-  sim.object_size = producer.object_size;
-  sim.objects_per_rank = producer.objects_per_rank;
-  sim.compute_ns = producer.compute_ns;
-  sim.seed = producer.seed;
-  sim.name = producer.name;
-  workloads::SyntheticAnalytics::Params analytics;
-  analytics.compute_ns_per_object = consumer.analytics_ns_per_object;
-  analytics.name = consumer.name;
-
-  workflow::WorkflowSpec spec = workloads::make_synthetic_workflow(
-      std::move(sim), std::move(analytics), producer.ranks, dag.iterations,
-      edge.stack);
+  workflow::WorkflowSpec spec;
   spec.label = dag.label;
+  spec.simulation = to_component(producer, 0).simulation;
+  spec.analytics = to_component(consumer, 0).analytics;
+  spec.ranks = producer.ranks;
+  spec.iterations = dag.iterations;
+  spec.stack = edge.stack;
   spec.channel_capacity = edge.capacity;
   spec.verify_reads = dag.verify_reads;
   return spec;
+}
+
+workflow::Component to_component(const DagComponent& component,
+                                 topo::SocketId socket) {
+  workloads::SyntheticSimulation::Params sim;
+  sim.object_size = component.object_size;
+  sim.objects_per_rank = component.objects_per_rank;
+  sim.compute_ns = component.compute_ns;
+  sim.seed = component.seed;
+  sim.name = component.name;
+  workloads::SyntheticAnalytics::Params analytics;
+  analytics.compute_ns_per_object = component.analytics_ns_per_object;
+  analytics.name = component.name;
+  return {component.ranks, socket,
+          std::make_shared<const workloads::SyntheticSimulation>(std::move(sim)),
+          std::make_shared<const workloads::SyntheticAnalytics>(
+              std::move(analytics)),
+          component.name};
 }
 
 }  // namespace pmemflow::dag

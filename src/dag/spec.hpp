@@ -19,8 +19,9 @@
 // (object_size, objects_per_rank, seed), which is what makes the strict
 // serialize/parse round trip and the behavioural fingerprint possible.
 // A two-component, one-edge DAG is exactly a pair workflow
-// (to_pair_workflow), and the DES replay of that DAG is byte-identical
-// to workflow::Runner's — pinned by tests/dag/runner_test.cpp.
+// (to_pair_workflow); both run as the same workflow-engine job, so the
+// DAG replays byte-identically to the pair (tests/dag/runner_test.cpp
+// states the contract).
 #pragma once
 
 #include <cstdint>
@@ -30,7 +31,7 @@
 
 #include "common/expected.hpp"
 #include "common/units.hpp"
-#include "workflow/model.hpp"
+#include "workflow/runner.hpp"
 
 namespace pmemflow::dag {
 
@@ -141,5 +142,12 @@ struct DagSpec {
 /// verify_reads. Errors for any other shape.
 [[nodiscard]] Expected<workflow::WorkflowSpec> to_pair_workflow(
     const DagSpec& dag);
+
+/// The engine component `component` denotes, pinned to `socket`: a
+/// SyntheticSimulation built from its producer fields, a constant-rate
+/// SyntheticAnalytics from analytics_ns_per_object, and its name as
+/// the tracer track.
+[[nodiscard]] workflow::Component to_component(const DagComponent& component,
+                                               topo::SocketId socket);
 
 }  // namespace pmemflow::dag

@@ -133,17 +133,17 @@ Expected<CachedDagProfile> ProfileCache::characterize_dag_on(
   }
 
   const topo::PlatformSpec& platform = executor_.runner().platform();
-  dag::Runner runner(platform, backend);
+  workflow::Runner runner(platform, backend);
   runner.set_allocator_memoization(allocator_memoization_);
   if (auto plan = dag::plan_spread(spec, platform); plan.has_value()) {
-    auto run = runner.run(spec, plan->run_options());
+    auto run = dag::run(runner, spec, plan->run_options());
     if (!run.has_value()) return Unexpected{run.error()};
     cached.spread_feasible = true;
     cached.spread = *std::move(plan);
     cached.spread_runtime_ns = run->total_ns;
   }
   if (auto plan = dag::plan_fusion(spec, platform); plan.has_value()) {
-    auto run = runner.run(spec, plan->run_options());
+    auto run = dag::run(runner, spec, plan->run_options());
     if (!run.has_value()) return Unexpected{run.error()};
     cached.fused_feasible = true;
     cached.fused = *std::move(plan);

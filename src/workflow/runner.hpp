@@ -1,29 +1,34 @@
 // Workflow execution engine.
 //
-// Builds a simulated platform (engine + per-socket memory devices +
-// streaming channels), spawns one coroutine process per writer and
-// reader rank, and runs workflows to completion under the requested
-// execution mode and placement. This is the mechanism underneath the
-// scheduler configurations of Table I; the taxonomy itself
-// (S/P-LocW/LocR) lives in core/config.hpp.
+// One discrete-event engine runs every workflow shape in this repo.
+// Callers describe *jobs*: a job is a set of components (ranks pinned
+// to a socket, a writer-side SimulationModel, a reader-side
+// AnalyticsModel) joined by edges (one streaming channel each, placed
+// on a socket's PMEM). Runner::run_jobs builds the simulated platform
+// (engine + per-socket memory devices + DRAM staging tiers + channels),
+// spawns one coroutine per component rank, and runs every job to
+// completion on the same clock, so co-located jobs contend for the
+// shared per-socket devices exactly as the paper's §II-A multi-tenancy
+// setting describes. The Table I taxonomy (S/P-LocW/LocR) lives in
+// core/config.hpp; component DAGs adapt onto run_jobs in dag/runner.hpp.
 //
-// Mode semantics (paper §II-A):
-//   serial:   analytics ranks start only after the simulation has
-//             finished all iterations; PMEM accesses never overlap.
-//   parallel: analytics consumes snapshot v as soon as it commits, so
-//             reads overlap the simulation's compute and writes.
+// run()/run_colocated() adapt the paper's writer+reader pair: each
+// deployment becomes a two-component, one-edge job.
 //
-// Besides single-workflow runs, the runner supports *co-located*
-// deployments: multiple workflows sharing the node at once, their
-// channels placed on the same per-socket PMEM devices — the
-// multi-tenancy setting the paper's §II-A motivates. Cross-workflow
-// contention emerges naturally from the shared device models.
+// Mode semantics (paper §II-A), per job:
+//   serial:   a consumer rank starts only after every version of its
+//             in-edges has committed; PMEM accesses never overlap.
+//   parallel: a consumer reads snapshot v as soon as it commits, so
+//             reads overlap the producer's compute and writes.
 //
-// Every run verifies data end-to-end when spec.verify_reads is set:
-// readers check what they decode against what the simulation model says
-// was written.
+// Every run verifies data end-to-end when the job's verify_reads is
+// set: consumers check what they decode against what the producer's
+// model says was written.
 #pragma once
 
+#include <map>
+#include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -117,6 +122,78 @@ struct ColocatedResult {
   SimDuration makespan_ns = 0;
 };
 
+/// One component of an engine job: `ranks` coroutines pinned to
+/// `socket`. Per version a rank consumes from every in-edge, then
+/// produces on every out-edge.
+struct Component {
+  std::uint32_t ranks = 0;
+  topo::SocketId socket = 0;
+  /// Producer side: each rank's part per version and its bulk compute
+  /// (folded into the first out-edge's write). Required with out-edges.
+  std::shared_ptr<const SimulationModel> simulation;
+  /// Consumer side: compute interleaved per object read. Required with
+  /// in-edges.
+  std::shared_ptr<const AnalyticsModel> analytics;
+  /// Tracer track prefix; rank r records on "<track>/rank<r>".
+  std::string track;
+};
+
+/// One streaming channel between two components of the same job, with
+/// a 1:1 rank pairing (paper §IV-C).
+struct Edge {
+  std::size_t producer = 0;  // component indices within the job
+  std::size_t consumer = 0;
+  /// Socket whose PMEM holds the channel; must host an endpoint.
+  topo::SocketId socket = 0;
+  WorkflowSpec::Stack stack = WorkflowSpec::Stack::kNvStream;
+  std::optional<stack::SoftwareCostModel> cost_override;
+  /// Max versions live in the channel (0 = unbounded; not enforced in
+  /// serial jobs, where every version is live before any read).
+  std::uint32_t capacity = 0;
+  capacity::RetentionParams retention;
+  std::string channel;  // channel name
+  std::string track;    // tracer track of the commit markers
+};
+
+/// Independent components and edges sharing one simulated node.
+struct Job {
+  std::vector<Component> components;
+  std::vector<Edge> edges;
+  std::uint32_t iterations = 0;
+  bool serial = false;
+  bool verify_reads = true;
+  /// DRAM staging tier on every channel socket of this job. Jobs whose
+  /// channels share a socket share its tier, so their parameters must
+  /// agree.
+  capacity::StagingParams staging;
+  trace::Tracer* tracer = nullptr;
+};
+
+/// Measured outcome of one job.
+struct JobResult {
+  /// Time the job's last component rank finished.
+  SimDuration total_ns = 0;
+  /// Time the last version of the job's last edge committed.
+  SimDuration producer_span_ns = 0;
+  std::uint64_t objects_verified = 0;
+  std::uint64_t verification_failures = 0;
+  /// Per-edge channel stats, indexed like Job::edges.
+  std::vector<stack::ChannelStats> edges;
+  /// Bytes retention GC reclaimed and rewrote, over all edges.
+  Bytes gc_bytes = 0;
+};
+
+/// Outcome of one run_jobs call.
+struct EngineResult {
+  /// Per-job results, in input order.
+  std::vector<JobResult> jobs;
+  /// Stats of every socket that hosted a channel (shared by its jobs).
+  std::map<topo::SocketId, sim::FlowResourceStats> devices;
+  /// Stats of every socket's staging tier, where one was built.
+  std::map<topo::SocketId, capacity::StagingStats> staging;
+  std::uint64_t engine_events = 0;
+};
+
 /// Reusable run harness; owns only immutable configuration, so one
 /// Runner can execute many workflows/configurations sequentially.
 class Runner {
@@ -146,6 +223,15 @@ class Runner {
   Expected<ColocatedResult> run_colocated(
       std::span<const Deployment> deployments) const;
 
+  /// Runs every job on one engine. Spawn order is fixed (jobs in input
+  /// order, each rank-major over its components, then its staged edges'
+  /// commit pumps), which keeps every replay deterministic.
+  /// Fails (no side effects) on malformed jobs, unknown sockets,
+  /// channels not local to an endpoint, joint core demand beyond a
+  /// socket's cores, or jobs asking one socket for different staging
+  /// tiers.
+  Expected<EngineResult> run_jobs(std::span<const Job> jobs) const;
+
   [[nodiscard]] const topo::PlatformSpec& platform() const noexcept {
     return platform_;
   }
@@ -156,7 +242,7 @@ class Runner {
 
   /// Applies to the rate allocators of every device the next runs
   /// instantiate (devices are per-run, so this takes effect on the
-  /// following run() / run_colocated() call). Default on.
+  /// following run call). Default on.
   void set_allocator_memoization(bool enabled) noexcept {
     allocator_memoization_ = enabled;
   }
@@ -180,7 +266,7 @@ class Runner {
   devices::NodeDevices devices_;
   bool allocator_memoization_ = true;
   /// Accumulated from each run's short-lived devices; mutable because
-  /// run()/run_colocated() are const (they don't change configuration).
+  /// the run calls are const (they don't change configuration).
   mutable pmemsim::AllocatorCounters allocator_counters_;
   /// Non-empty when `platform.socket_backends` failed to resolve; every
   /// run reports it as a recoverable error.

@@ -155,6 +155,35 @@ TEST(Colocation, ResultsPreserveInputOrder) {
   EXPECT_EQ(fwd->makespan_ns, rev->makespan_ns);
 }
 
+TEST(Colocation, RejectsConflictingStagingOnASharedSocket) {
+  // Tenants whose channels share a socket share its DRAM stage, so
+  // they must ask for the same one; the second tenant's parameters are
+  // never silently dropped.
+  Runner runner;
+  const auto spec_a = io_heavy_spec(4, 1);
+  const auto spec_b = io_heavy_spec(4, 2);
+  RunOptions small = deploy(false, 0);
+  small.staging.stage_bytes = 16 * kMiB;
+  RunOptions large = small;
+  large.staging.stage_bytes = 64 * kMiB;
+  const Deployment conflicting[] = {{spec_a, small}, {spec_b, large}};
+  auto rejected = runner.run_colocated(conflicting);
+  ASSERT_FALSE(rejected.has_value());
+  EXPECT_NE(rejected.error().message.find("socket 0"), std::string::npos);
+
+  // Equal tiers share the stage; a tenant without staging writes
+  // straight through beside a staged one; distinct sockets never
+  // conflict.
+  const Deployment shared[] = {{spec_a, small}, {spec_b, small}};
+  const Deployment mixed[] = {{spec_a, small}, {spec_b, deploy(false, 0)}};
+  RunOptions other_socket = large;
+  other_socket.channel_socket = 1;
+  const Deployment split[] = {{spec_a, small}, {spec_b, other_socket}};
+  EXPECT_TRUE(runner.run_colocated(shared).has_value());
+  EXPECT_TRUE(runner.run_colocated(mixed).has_value());
+  EXPECT_TRUE(runner.run_colocated(split).has_value());
+}
+
 TEST(Colocation, RejectsEmptyBatch) {
   Runner runner;
   auto result = runner.run_colocated({});

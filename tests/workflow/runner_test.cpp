@@ -233,6 +233,72 @@ TEST(Runner, SerialAcceptsCapacityCoveringAllIterations) {
   EXPECT_EQ(result->channel.versions_recycled, 3u);
 }
 
+// A three-stage chain job straight on the engine: the middle stage
+// consumes each version, then produces it for the sink.
+Job chain_job(bool serial) {
+  const auto spec = small_spec(4, 3);
+  Job job;
+  job.iterations = spec.iterations;
+  job.serial = serial;
+  job.components = {{4, 0, spec.simulation, nullptr, "source"},
+                    {4, 1, spec.simulation, spec.analytics, "filter"},
+                    {4, 0, nullptr, spec.analytics, "sink"}};
+  job.edges = {{0, 1, 1, {}, {}, 0, {}, "source-filter", "c0"},
+               {1, 2, 0, {}, {}, 0, {}, "filter-sink", "c1"}};
+  return job;
+}
+
+TEST(Runner, RunJobsChainsThroughAMiddleStage) {
+  Runner runner;
+  const Job jobs[] = {chain_job(false), chain_job(true)};
+  auto parallel = runner.run_jobs({&jobs[0], 1});
+  auto serial = runner.run_jobs({&jobs[1], 1});
+  ASSERT_TRUE(parallel.has_value()) << parallel.error().message;
+  ASSERT_TRUE(serial.has_value()) << serial.error().message;
+  for (const auto* run : {&*parallel, &*serial}) {
+    const JobResult& job = run->jobs.front();
+    // 15 objects per rank-iteration, 4 ranks, 3 iterations, 2 edges.
+    EXPECT_EQ(job.objects_verified, 15u * 4 * 3 * 2);
+    EXPECT_EQ(job.verification_failures, 0u);
+    ASSERT_EQ(job.edges.size(), 2u);
+    EXPECT_EQ(job.edges[1].versions_recycled, 3u);
+    EXPECT_EQ(run->devices.size(), 2u);
+  }
+  // Serial stages run one after another; parallel ones overlap.
+  EXPECT_GT(serial->jobs.front().total_ns, parallel->jobs.front().total_ns);
+
+  // Two independent jobs on one engine contend for the same devices.
+  auto both = runner.run_jobs(jobs);
+  ASSERT_TRUE(both.has_value());
+  ASSERT_EQ(both->jobs.size(), 2u);
+  EXPECT_GT(both->jobs[0].total_ns, parallel->jobs.front().total_ns);
+}
+
+TEST(Runner, RunJobsRejectsMalformedJobs) {
+  Runner runner;
+  const auto reject = [&](const Job& job, const char* why) {
+    auto result = runner.run_jobs({&job, 1});
+    ASSERT_FALSE(result.has_value()) << why;
+    EXPECT_NE(result.error().message.find(why), std::string::npos)
+        << result.error().message;
+  };
+  Job job = chain_job(false);
+  job.edges[1].consumer = 7;
+  reject(job, "unknown component");
+  job = chain_job(false);
+  job.components[2].ranks = 2;
+  reject(job, "pairs 4 ranks with 2");
+  job = chain_job(false);
+  job.components[0].simulation = nullptr;
+  reject(job, "missing a component model");
+  job = chain_job(false);
+  job.edges[0].socket = 5;
+  reject(job, "local to one");
+  job = chain_job(false);
+  job.iterations = 0;
+  reject(job, "at least one iteration");
+}
+
 // Concurrency sweep: every mode/placement combination completes and
 // conserves data for several rank counts.
 class RunnerSweep
