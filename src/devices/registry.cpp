@@ -230,7 +230,28 @@ Expected<DeviceSpec> parse_device_spec(std::string_view text) {
   return spec;
 }
 
-std::uint64_t NodeDevices::fingerprint() const {
+NodeDevices::NodeDevices() {
+  // Every default-constructed node has the same specs: digest them once.
+  static const std::uint64_t kDefaultFingerprint = compute_fingerprint();
+  fingerprint_ = kDefaultFingerprint;
+}
+
+NodeDevices::NodeDevices(DeviceSpec spec)
+    : default_(std::move(spec)), fingerprint_(compute_fingerprint()) {}
+
+NodeDevices::NodeDevices(pmemsim::OptaneParams optane,
+                         interconnect::UpiParams upi) {
+  default_.optane = optane;
+  default_.upi = upi;
+  fingerprint_ = compute_fingerprint();
+}
+
+void NodeDevices::set_socket(topo::SocketId socket, DeviceSpec spec) {
+  overrides_[socket] = std::move(spec);
+  fingerprint_ = compute_fingerprint();
+}
+
+std::uint64_t NodeDevices::compute_fingerprint() const {
   Hasher64 hasher;
   hasher.update_string(serialize_device_spec(default_));
   for (const auto& [socket, spec] : overrides_) {

@@ -79,20 +79,20 @@ struct DeviceSpec {
 
 /// The memory backends of one node: a default spec for every socket,
 /// with optional per-socket overrides.
+///
+/// The fingerprint keys every cache lookup a node makes, so it is
+/// computed once, when the specs are set (constructors, set_socket),
+/// and fingerprint() only reads it. Between set_socket calls the
+/// object is immutable: threads may share a const NodeDevices freely.
 class NodeDevices {
  public:
-  NodeDevices() = default;
-  explicit NodeDevices(DeviceSpec spec) : default_(std::move(spec)) {}
+  NodeDevices();
+  explicit NodeDevices(DeviceSpec spec);
   /// Legacy form: Optane on every socket with these parameters.
   NodeDevices(pmemsim::OptaneParams optane,
-              interconnect::UpiParams upi = {}) {
-    default_.optane = optane;
-    default_.upi = upi;
-  }
+              interconnect::UpiParams upi = {});
 
-  void set_socket(topo::SocketId socket, DeviceSpec spec) {
-    overrides_[socket] = std::move(spec);
-  }
+  void set_socket(topo::SocketId socket, DeviceSpec spec);
 
   [[nodiscard]] const DeviceSpec& for_socket(topo::SocketId socket) const {
     const auto it = overrides_.find(socket);
@@ -109,11 +109,17 @@ class NodeDevices {
   [[nodiscard]] bool uniform() const noexcept { return overrides_.empty(); }
 
   /// Digest over the default spec and every override, in socket order.
-  [[nodiscard]] std::uint64_t fingerprint() const;
+  [[nodiscard]] std::uint64_t fingerprint() const noexcept {
+    return fingerprint_;
+  }
 
  private:
+  /// Digests the specs as they stand (what fingerprint() returns).
+  [[nodiscard]] std::uint64_t compute_fingerprint() const;
+
   DeviceSpec default_{};
   std::map<topo::SocketId, DeviceSpec> overrides_;
+  std::uint64_t fingerprint_ = 0;
 };
 
 struct DevicePreset {

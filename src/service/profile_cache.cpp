@@ -1,5 +1,6 @@
 #include "service/profile_cache.hpp"
 
+#include <bit>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -11,13 +12,53 @@ namespace pmemflow::service {
 
 ProfileCache::ProfileCache(std::size_t capacity, core::Executor executor,
                            core::Recommender recommender)
-    : capacity_(capacity),
-      executor_(std::move(executor)),
+    : executor_(std::move(executor)),
       characterizer_(executor_),
       recommender_(recommender),
       default_device_fp_(executor_.runner().devices().fingerprint()),
-      allocator_memoization_(executor_.runner().allocator_memoization()) {
-  PMEMFLOW_ASSERT(capacity >= 1);
+      allocator_memoization_(executor_.runner().allocator_memoization()),
+      entries_(capacity),
+      dag_entries_(capacity),
+      class_fingerprints_(capacity) {}
+
+ProfileCache::ClassKey::ClassKey(const workflow::WorkflowSpec& spec)
+    : simulation(spec.simulation), analytics(spec.analytics) {
+  const auto& cost = spec.cost_override;
+  scalars = {spec.ranks,
+             spec.iterations,
+             static_cast<std::uint64_t>(spec.stack),
+             spec.channel_capacity,
+             spec.verify_reads,
+             cost.has_value(),
+             cost ? std::bit_cast<std::uint64_t>(cost->write_ns_per_op) : 0,
+             cost ? std::bit_cast<std::uint64_t>(cost->read_ns_per_op) : 0,
+             cost ? std::bit_cast<std::uint64_t>(cost->write_ns_per_byte) : 0,
+             cost ? std::bit_cast<std::uint64_t>(cost->read_ns_per_byte) : 0};
+}
+
+std::size_t ProfileCache::ClassKeyHash::operator()(
+    const ClassKey& key) const noexcept {
+  // Only needs to spread keys across buckets, not to be stable.
+  constexpr std::uint64_t kMultiplier = 0x9e3779b97f4a7c15ULL;
+  std::uint64_t hash =
+      reinterpret_cast<std::uintptr_t>(key.simulation.get()) * kMultiplier;
+  hash = (hash ^ reinterpret_cast<std::uintptr_t>(key.analytics.get())) *
+         kMultiplier;
+  for (const std::uint64_t word : key.scalars) {
+    hash = (hash ^ word) * kMultiplier;
+  }
+  return static_cast<std::size_t>(hash ^ (hash >> 32));
+}
+
+std::uint64_t ProfileCache::class_fingerprint(
+    const workflow::WorkflowSpec& spec) {
+  ClassKey key(spec);
+  if (const std::uint64_t* fingerprint = class_fingerprints_.find(key)) {
+    return *fingerprint;
+  }
+  const std::uint64_t fingerprint = workflow::class_fingerprint(spec);
+  class_fingerprints_.insert(std::move(key), fingerprint);
+  return fingerprint;
 }
 
 std::uint64_t ProfileCache::key_of(std::uint64_t class_fp,
@@ -76,12 +117,10 @@ Expected<std::shared_ptr<const CachedProfile>> ProfileCache::lookup_keyed(
     const workflow::WorkflowSpec& spec, const devices::NodeDevices* backend) {
   const std::uint64_t device_fp =
       backend == nullptr ? default_device_fp_ : backend->fingerprint();
-  const std::uint64_t key =
-      key_of(workflow::class_fingerprint(spec), device_fp);
-  if (auto it = entries_.find(key); it != entries_.end()) {
+  const std::uint64_t key = key_of(class_fingerprint(spec), device_fp);
+  if (const auto* hit = entries_.find(key)) {
     ++stats_.hits;
-    lru_.splice(lru_.begin(), lru_, it->second);  // mark most recent
-    return it->second->second;
+    return *hit;
   }
 
   ++stats_.misses;
@@ -89,14 +128,8 @@ Expected<std::shared_ptr<const CachedProfile>> ProfileCache::lookup_keyed(
       backend == nullptr ? characterize(spec) : characterize(spec, *backend);
   if (!fresh.has_value()) return Unexpected{fresh.error()};
 
-  if (entries_.size() >= capacity_) {
-    ++stats_.evictions;
-    entries_.erase(lru_.back().first);
-    lru_.pop_back();
-  }
   auto entry = std::make_shared<const CachedProfile>(*std::move(fresh));
-  lru_.emplace_front(key, entry);
-  entries_.emplace(key, lru_.begin());
+  if (entries_.insert(key, entry)) ++stats_.evictions;
   return entry;
 }
 
@@ -173,10 +206,9 @@ ProfileCache::lookup_dag_keyed(const dag::DagSpec& spec,
   const std::uint64_t device_fp =
       backend == nullptr ? default_device_fp_ : backend->fingerprint();
   const std::uint64_t key = key_of(dag::class_fingerprint(spec), device_fp);
-  if (auto it = dag_entries_.find(key); it != dag_entries_.end()) {
+  if (const auto* hit = dag_entries_.find(key)) {
     ++stats_.hits;
-    dag_lru_.splice(dag_lru_.begin(), dag_lru_, it->second);
-    return it->second->second;
+    return *hit;
   }
 
   ++stats_.misses;
@@ -184,14 +216,8 @@ ProfileCache::lookup_dag_keyed(const dag::DagSpec& spec,
                                   : characterize_dag(spec, *backend);
   if (!fresh.has_value()) return Unexpected{fresh.error()};
 
-  if (dag_entries_.size() >= capacity_) {
-    ++stats_.evictions;
-    dag_entries_.erase(dag_lru_.back().first);
-    dag_lru_.pop_back();
-  }
   auto entry = std::make_shared<const CachedDagProfile>(*std::move(fresh));
-  dag_lru_.emplace_front(key, entry);
-  dag_entries_.emplace(key, dag_lru_.begin());
+  if (dag_entries_.insert(key, entry)) ++stats_.evictions;
   return entry;
 }
 

@@ -16,14 +16,20 @@
 //
 // Bounded capacity with least-recently-used eviction; hit/miss/eviction
 // counters feed the service report.
+//
+// A hit must cost far less than the characterization it saves, so the
+// class half of the key is not re-derived per lookup: class_fingerprint
+// samples both component models, which costs more than the rest of a
+// hit put together. Each cache memoizes it per behaviour input — model
+// objects by identity, launch scalars by value — and hashes a class
+// once, not once per submission.
 #pragma once
 
 #include <algorithm>
 #include <array>
-#include <list>
 #include <memory>
-#include <unordered_map>
 
+#include "common/lru.hpp"
 #include "core/autotuner.hpp"
 #include "dag/plan.hpp"
 #include "devices/registry.hpp"
@@ -163,7 +169,9 @@ class ProfileCache {
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
+  [[nodiscard]] std::size_t capacity() const noexcept {
+    return entries_.capacity();
+  }
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
 
   /// Applies to the owned executor and to every temporary executor a
@@ -184,14 +192,32 @@ class ProfileCache {
   }
 
  private:
-  using LruList =
-      std::list<std::pair<std::uint64_t, std::shared_ptr<const CachedProfile>>>;
-  using DagLruList = std::list<
-      std::pair<std::uint64_t, std::shared_ptr<const CachedDagProfile>>>;
+  /// Everything workflow::class_fingerprint reads from a spec. The
+  /// models are deterministic pure descriptions, so the same objects
+  /// under the same scalars always fingerprint the same; holding them
+  /// keeps their addresses from being reused by other models. Doubles
+  /// are compared as the bit patterns the fingerprint hashes.
+  struct ClassKey {
+    std::shared_ptr<const workflow::SimulationModel> simulation;
+    std::shared_ptr<const workflow::AnalyticsModel> analytics;
+    /// ranks, iterations, stack, channel capacity, verify_reads,
+    /// cost-override presence, then the four override costs (0 when
+    /// absent).
+    std::array<std::uint64_t, 10> scalars{};
+
+    explicit ClassKey(const workflow::WorkflowSpec& spec);
+    friend bool operator==(const ClassKey&, const ClassKey&) = default;
+  };
+  struct ClassKeyHash {
+    std::size_t operator()(const ClassKey& key) const noexcept;
+  };
 
   /// Combined (class, device) cache key.
   [[nodiscard]] static std::uint64_t key_of(std::uint64_t class_fp,
                                             std::uint64_t device_fp);
+  /// workflow::class_fingerprint(spec), memoized per ClassKey.
+  [[nodiscard]] std::uint64_t class_fingerprint(
+      const workflow::WorkflowSpec& spec);
   [[nodiscard]] Expected<std::shared_ptr<const CachedProfile>> lookup_keyed(
       const workflow::WorkflowSpec& spec, const devices::NodeDevices* backend);
   [[nodiscard]] Expected<CachedProfile> characterize_on(
@@ -204,7 +230,6 @@ class ProfileCache {
       const dag::DagSpec& spec, const devices::NodeDevices& backend,
       std::uint64_t device_fp) const;
 
-  std::size_t capacity_;
   core::Executor executor_;
   core::Characterizer characterizer_;
   core::Recommender recommender_;
@@ -213,10 +238,10 @@ class ProfileCache {
   /// Counters of torn-down cross-backend executors (mutable: const
   /// characterize() creates and destroys them).
   mutable pmemsim::AllocatorCounters extra_allocator_counters_;
-  LruList lru_;  // front = most recently used
-  std::unordered_map<std::uint64_t, LruList::iterator> entries_;
-  DagLruList dag_lru_;  // front = most recently used
-  std::unordered_map<std::uint64_t, DagLruList::iterator> dag_entries_;
+  LruMap<std::uint64_t, std::shared_ptr<const CachedProfile>> entries_;
+  LruMap<std::uint64_t, std::shared_ptr<const CachedDagProfile>> dag_entries_;
+  /// Bounded like entries_, which it feeds; not counted in stats_.
+  LruMap<ClassKey, std::uint64_t, ClassKeyHash> class_fingerprints_;
   CacheStats stats_;
 };
 

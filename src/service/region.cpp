@@ -165,37 +165,39 @@ std::vector<CompletionRecord> Region::take_completions() {
 void Region::arrive(Submission submission, std::uint32_t attempt,
                     SimTime now) {
   if (failure_.has_value()) return;
+  if (queue_.classify(submission.priority) == AdmissionVerdict::kAdmitted) {
+    queue_.submit(std::move(submission), 0);
+    dispatch(now);
+    return;
+  }
+  // Only a turned-away submission needs the retry-after hint (a fleet
+  // scan) and a copy of itself to resubmit.
   const SimTime earliest_free = fleet_.earliest_free_ns();
   const SimDuration retry_after =
       std::max(earliest_free > now ? earliest_free - now : SimDuration{0},
                kMinRetryNs);
-  const std::uint64_t id = submission.id;
-  Submission retry_copy = submission;  // used only on deferral/rejection
-  const AdmissionDecision decision =
-      queue_.submit(std::move(submission), retry_after);
-  if (decision.verdict != AdmissionVerdict::kAdmitted) {
-    if (config_.tracer != nullptr) {
-      config_.tracer->instant(
-          "service",
-          format("%s #%llu", to_string(decision.verdict),
-                 static_cast<unsigned long long>(id)),
-          now);
-    }
-    // Deferred and rejected submissions share one retry budget:
-    // retry_after_ns is exactly the advisory resubmit hint a real
-    // client would honor, so the service honors it itself. Work that
-    // exhausts the budget is accounted as dropped — the invariant is
-    // completed + dropped == submissions.
-    if (attempt < config_.max_retries) {
-      ++retries_;
-      const SimTime retry_at = now + decision.retry_after_ns;
-      events_.schedule(retry_at, [this, retry = std::move(retry_copy),
-                                  attempt, retry_at]() mutable {
-        arrive(std::move(retry), attempt + 1, retry_at);
-      });
-    } else {
-      ++dropped_;
-    }
+  const AdmissionDecision decision = queue_.submit(submission, retry_after);
+  if (config_.tracer != nullptr) {
+    config_.tracer->instant(
+        "service",
+        format("%s #%llu", to_string(decision.verdict),
+               static_cast<unsigned long long>(submission.id)),
+        now);
+  }
+  // Deferred and rejected submissions share one retry budget:
+  // retry_after_ns is exactly the advisory resubmit hint a real client
+  // would honor, so the service honors it itself. Work that exhausts
+  // the budget is accounted as dropped — the invariant is
+  // completed + dropped == submissions.
+  if (attempt < config_.max_retries) {
+    ++retries_;
+    const SimTime retry_at = now + decision.retry_after_ns;
+    events_.schedule(retry_at, [this, retry = std::move(submission), attempt,
+                                retry_at]() mutable {
+      arrive(std::move(retry), attempt + 1, retry_at);
+    });
+  } else {
+    ++dropped_;
   }
   dispatch(now);
 }

@@ -11,9 +11,10 @@
 namespace pmemflow::service {
 
 std::size_t config_index(const core::DeploymentConfig& config) {
-  const auto configs = core::all_configs();
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    if (configs[i] == config) return i;
+  const bool local_read = config.placement == core::Placement::kLocalRead;
+  switch (config.mode) {
+    case core::ExecutionMode::kSerial: return local_read ? 1 : 0;
+    case core::ExecutionMode::kParallel: return local_read ? 3 : 2;
   }
   PMEMFLOW_ASSERT_MSG(false, "config not in Table I");
   return 0;

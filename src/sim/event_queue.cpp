@@ -15,33 +15,51 @@ constexpr std::size_t kCompactionFloor = 64;
 
 EventId EventQueue::schedule(SimTime when, Callback callback) {
   PMEMFLOW_ASSERT(callback != nullptr);
-  const std::uint64_t id = next_id_++;
-  heap_.push_back(Entry{when, next_sequence_++, id});
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  const std::uint64_t sequence = next_sequence_++;
+  slots_[slot] = Slot{std::move(callback), sequence};
+  heap_.push_back(Entry{when, sequence, slot});
   std::push_heap(heap_.begin(), heap_.end());
-  live_.emplace(id, std::move(callback));
-  return EventId{id};
+  ++live_;
+  return EventId{slot, sequence};
+}
+
+void EventQueue::release(std::uint32_t slot) {
+  slots_[slot] = Slot{};
+  free_slots_.push_back(slot);
+  --live_;
 }
 
 bool EventQueue::cancel(EventId id) {
-  if (live_.erase(id.value) == 0) return false;
+  if (!is_live(id)) return false;
+  release(id.slot);
   ++dead_;  // the heap entry stays behind (lazy deletion)
   maybe_compact();
   return true;
 }
 
 EventId EventQueue::reschedule(EventId id, SimTime when) {
-  auto it = live_.find(id.value);
-  if (it == live_.end()) return EventId{};
-  Callback callback = std::move(it->second);
-  live_.erase(it);  // the old heap entry goes dead (lazy deletion)
+  if (!is_live(id)) return EventId{};
+  // The callback keeps its slot; a fresh sequence kills the old heap
+  // entry (lazy deletion) and orders the event as newly scheduled.
+  const std::uint64_t sequence = next_sequence_++;
+  slots_[id.slot].sequence = sequence;
   ++dead_;
-  const EventId moved = schedule(when, std::move(callback));
+  heap_.push_back(Entry{when, sequence, id.slot});
+  std::push_heap(heap_.begin(), heap_.end());
   maybe_compact();
-  return moved;
+  return EventId{id.slot, sequence};
 }
 
 void EventQueue::drop_dead_entries() const {
-  while (!heap_.empty() && !live_.contains(heap_.front().id)) {
+  while (!heap_.empty() && !is_live(heap_.front())) {
     std::pop_heap(heap_.begin(), heap_.end());
     heap_.pop_back();
     PMEMFLOW_ASSERT(dead_ > 0);
@@ -50,13 +68,12 @@ void EventQueue::drop_dead_entries() const {
 }
 
 void EventQueue::maybe_compact() {
-  if (heap_.size() < kCompactionFloor || dead_ <= live_.size()) return;
+  if (heap_.size() < kCompactionFloor || dead_ <= live_) return;
   // Keep only live entries, then restore the heap invariant. Heap shape
   // does not affect pop order (the comparator is a strict total order:
   // sequence numbers are unique), so compaction preserves determinism.
-  std::erase_if(heap_, [this](const Entry& entry) {
-    return !live_.contains(entry.id);
-  });
+  std::erase_if(heap_,
+                [this](const Entry& entry) { return !is_live(entry); });
   std::make_heap(heap_.begin(), heap_.end());
   dead_ = 0;
 }
@@ -73,10 +90,8 @@ std::pair<SimTime, EventQueue::Callback> EventQueue::pop() {
   const Entry top = heap_.front();
   std::pop_heap(heap_.begin(), heap_.end());
   heap_.pop_back();
-  auto it = live_.find(top.id);
-  PMEMFLOW_ASSERT(it != live_.end());
-  Callback callback = std::move(it->second);
-  live_.erase(it);
+  Callback callback = std::move(slots_[top.slot].callback);
+  release(top.slot);
   return {top.when, std::move(callback)};
 }
 

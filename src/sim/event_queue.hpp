@@ -1,17 +1,20 @@
 // Time-ordered event queue with O(log n) insert/pop and cancellation.
 //
 // Events at equal timestamps fire in insertion order (FIFO), which makes
-// every simulation run fully deterministic. Cancellation is lazy: a
-// cancelled entry stays in the heap and is skipped when popped — but the
-// backlog is bounded: when dead entries outnumber live ones the heap is
-// compacted in one O(n) rebuild, so cancel/reschedule churn (e.g. a
-// FlowResource rescheduling its completion on every arrival) keeps the
-// heap O(live) instead of O(total events ever scheduled).
+// every simulation run fully deterministic. Callbacks live in a vector
+// of slots recycled through a free list; a heap entry names its slot
+// and the sequence number it was scheduled under, and it is live iff
+// the slot still holds that sequence. Cancellation is therefore O(1)
+// and lazy: a cancelled entry stays in the heap and is skipped when
+// popped — but the backlog is bounded: when dead entries outnumber live
+// ones the heap is compacted in one O(n) rebuild, so cancel/reschedule
+// churn (e.g. a FlowResource rescheduling its completion on every
+// arrival) keeps the heap O(live) instead of O(total events ever
+// scheduled).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -20,10 +23,16 @@
 namespace pmemflow::sim {
 
 /// Opaque handle identifying a scheduled event; used for cancellation.
+/// A handle outlives its event harmlessly: once the event fires or is
+/// cancelled its slot's sequence moves on, so the stale handle matches
+/// nothing even after the slot is reused.
 struct EventId {
-  std::uint64_t value = 0;
+  std::uint32_t slot = 0;
+  /// Sequence number the event was scheduled under (0 = invalid; the
+  /// queue numbers events from 1).
+  std::uint64_t sequence = 0;
 
-  [[nodiscard]] bool valid() const noexcept { return value != 0; }
+  [[nodiscard]] bool valid() const noexcept { return sequence != 0; }
   friend bool operator==(const EventId&, const EventId&) = default;
 };
 
@@ -47,10 +56,10 @@ class EventQueue {
   EventId reschedule(EventId id, SimTime when);
 
   /// True when no live events remain.
-  [[nodiscard]] bool empty() const noexcept { return live_.empty(); }
+  [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
 
   /// Number of live (non-cancelled, not-yet-fired) events.
-  [[nodiscard]] std::size_t size() const noexcept { return live_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return live_; }
 
   /// Timestamp of the earliest live event; queue must not be empty.
   [[nodiscard]] SimTime next_time() const;
@@ -69,7 +78,7 @@ class EventQueue {
   struct Entry {
     SimTime when;
     std::uint64_t sequence;
-    std::uint64_t id;
+    std::uint32_t slot;
 
     // std::push_heap/pop_heap build a max-heap; invert for
     // earliest-first, and break time ties by sequence for FIFO ordering.
@@ -78,6 +87,24 @@ class EventQueue {
       return a.sequence > b.sequence;
     }
   };
+
+  struct Slot {
+    Callback callback;
+    /// Sequence of the event occupying the slot; 0 while the slot is
+    /// free (no event is ever numbered 0).
+    std::uint64_t sequence = 0;
+  };
+
+  [[nodiscard]] bool is_live(const Entry& entry) const noexcept {
+    return slots_[entry.slot].sequence == entry.sequence;
+  }
+  /// True when `id` names the event currently occupying its slot.
+  [[nodiscard]] bool is_live(EventId id) const noexcept {
+    return id.valid() && id.slot < slots_.size() &&
+           slots_[id.slot].sequence == id.sequence;
+  }
+  /// Returns a slot to the free list; every heap entry naming it dies.
+  void release(std::uint32_t slot);
 
   void drop_dead_entries() const;
   /// Rebuilds the heap without dead entries once they outnumber live
@@ -91,9 +118,10 @@ class EventQueue {
   mutable std::vector<Entry> heap_;
   /// Cancelled/rescheduled entries still sitting in heap_.
   mutable std::size_t dead_ = 0;
-  std::unordered_map<std::uint64_t, Callback> live_;
-  std::uint64_t next_id_ = 1;
-  std::uint64_t next_sequence_ = 0;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  std::size_t live_ = 0;
+  std::uint64_t next_sequence_ = 1;
 };
 
 }  // namespace pmemflow::sim

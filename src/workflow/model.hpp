@@ -10,7 +10,9 @@
 //
 // Both models are pure descriptions — they own no simulation state and
 // can be evaluated repeatedly (the characterizer re-runs components
-// standalone to measure I/O indexes, §IV-C).
+// standalone to measure I/O indexes, §IV-C). A model must not change
+// behaviour after construction: the service's profile cache memoizes
+// class fingerprints by model object identity.
 #pragma once
 
 #include <cstdint>

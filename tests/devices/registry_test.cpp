@@ -4,9 +4,33 @@
 
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
+
+#include "common/hash.hpp"
 
 namespace pmemflow::devices {
 namespace {
+
+/// What NodeDevices::fingerprint() must equal: a digest, taken now, of
+/// the default spec and each (socket, override) in socket order.
+std::uint64_t fresh_digest(
+    const DeviceSpec& default_spec,
+    const std::vector<std::pair<topo::SocketId, DeviceSpec>>& overrides) {
+  Hasher64 hasher;
+  hasher.update_string(serialize_device_spec(default_spec));
+  for (const auto& [socket, spec] : overrides) {
+    hasher.update_u64(socket);
+    hasher.update_string(serialize_device_spec(spec));
+  }
+  return hasher.digest();
+}
+
+DeviceSpec preset_spec(const char* name) {
+  auto preset = DeviceRegistry::builtin().find(name);
+  EXPECT_TRUE(preset.has_value()) << name;
+  return preset->spec;
+}
 
 TEST(Registry, BuiltinNamesAreStable) {
   std::set<std::string> names;
@@ -148,6 +172,45 @@ TEST(Registry, PerSocketBackendParse) {
   ASSERT_TRUE(uniform.has_value());
   EXPECT_TRUE(uniform->uniform());
   EXPECT_NE(mixed->fingerprint(), uniform->fingerprint());
+}
+
+TEST(Registry, StoredNodeFingerprintMatchesAFreshDigest) {
+  // NodeDevices computes its fingerprint when its specs are set and
+  // fingerprint() returns the stored value: it must never drift from a
+  // digest of the specs as they stand.
+  EXPECT_EQ(NodeDevices().fingerprint(), fresh_digest(DeviceSpec{}, {}));
+  EXPECT_EQ(NodeDevices().fingerprint(), NodeDevices().fingerprint());
+
+  const DeviceSpec cxl = preset_spec("cxl-like");
+  const DeviceSpec dram = preset_spec("dram-like");
+  EXPECT_EQ(NodeDevices(cxl).fingerprint(), fresh_digest(cxl, {}));
+
+  pmemsim::OptaneParams optane;
+  optane.read_peak *= 1.5;
+  interconnect::UpiParams upi;
+  upi.link_bandwidth *= 0.5;
+  DeviceSpec legacy;
+  legacy.optane = optane;
+  legacy.upi = upi;
+  EXPECT_EQ(NodeDevices(optane, upi).fingerprint(), fresh_digest(legacy, {}));
+  EXPECT_NE(NodeDevices(optane, upi).fingerprint(),
+            NodeDevices().fingerprint());
+
+  NodeDevices mixed(cxl);
+  mixed.set_socket(1, dram);
+  EXPECT_EQ(mixed.fingerprint(), fresh_digest(cxl, {{1, dram}}));
+  mixed.set_socket(0, dram);  // overrides replace, in socket order
+  mixed.set_socket(1, cxl);
+  EXPECT_EQ(mixed.fingerprint(), fresh_digest(cxl, {{0, dram}, {1, cxl}}));
+
+  // Copies carry the value; mutating a copy re-digests only the copy.
+  NodeDevices copy = mixed;
+  EXPECT_EQ(copy.fingerprint(), mixed.fingerprint());
+  copy.set_socket(1, dram);
+  EXPECT_EQ(copy.fingerprint(), fresh_digest(cxl, {{0, dram}, {1, dram}}));
+  EXPECT_EQ(mixed.fingerprint(), fresh_digest(cxl, {{0, dram}, {1, cxl}}));
+  copy = NodeDevices(dram);
+  EXPECT_EQ(copy.fingerprint(), fresh_digest(dram, {}));
 }
 
 TEST(Registry, InstantiateMatchesKind) {

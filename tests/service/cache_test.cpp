@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "service/arrivals.hpp"
 #include "workloads/synthetic.hpp"
 
@@ -72,6 +75,80 @@ TEST(ProfileCache, RelabeledResubmissionHits) {
   renamed.label = "same-class-new-job-name";
   auto hit = cache.lookup(renamed);
   ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+}
+
+TEST(ProfileCache, EveryKeyedScalarReachesTheClassFingerprint) {
+  // The cache memoizes class fingerprints per (model objects, launch
+  // scalars). A spec that changes any one scalar on the *same* model
+  // objects must get its own fingerprint, never the memoized one.
+  ProfileCache cache(32);
+  auto base = small_spec(kMiB);
+  base.cost_override = stack::SoftwareCostModel{};  // all +0.0
+  auto first = cache.lookup(base);
+  ASSERT_TRUE(first.has_value());
+  const std::uint64_t base_fp = workflow::class_fingerprint(base);
+  EXPECT_EQ((*first)->fingerprint, base_fp);
+
+  std::vector<std::pair<const char*, workflow::WorkflowSpec>> variants;
+  auto vary = [&](const char* what, auto&& change) {
+    workflow::WorkflowSpec variant = base;
+    change(variant);
+    variants.emplace_back(what, std::move(variant));
+  };
+  vary("ranks", [](auto& s) { s.ranks = 4; });
+  vary("iterations", [](auto& s) { s.iterations = 3; });
+  vary("stack",
+       [](auto& s) { s.stack = workflow::WorkflowSpec::Stack::kNova; });
+  vary("no cost override", [](auto& s) { s.cost_override.reset(); });
+  vary("write_ns_per_op",
+       [](auto& s) { s.cost_override->write_ns_per_op = 50; });
+  vary("read_ns_per_op",
+       [](auto& s) { s.cost_override->read_ns_per_op = 50; });
+  vary("write_ns_per_byte",
+       [](auto& s) { s.cost_override->write_ns_per_byte = 0.01; });
+  vary("read_ns_per_byte",
+       [](auto& s) { s.cost_override->read_ns_per_byte = 0.01; });
+  // -0.0 == +0.0 as a double, but the fingerprint hashes bit patterns.
+  vary("negative zero",
+       [](auto& s) { s.cost_override->read_ns_per_op = -0.0; });
+  vary("channel_capacity", [](auto& s) { s.channel_capacity = 2; });
+  vary("verify_reads", [](auto& s) { s.verify_reads = false; });
+
+  for (const auto& [what, variant] : variants) {
+    ASSERT_EQ(variant.simulation, base.simulation) << what;
+    ASSERT_EQ(variant.analytics, base.analytics) << what;
+    const std::uint64_t expected = workflow::class_fingerprint(variant);
+    EXPECT_NE(expected, base_fp) << what;
+    auto entry = cache.lookup(variant);
+    ASSERT_TRUE(entry.has_value()) << what << ": " << entry.error().message;
+    EXPECT_EQ((*entry)->fingerprint, expected) << what;
+  }
+  EXPECT_EQ(cache.stats().misses, 1 + variants.size());
+  EXPECT_EQ(cache.stats().hits, 0u);
+
+  // The base class still hits its own entry.
+  auto again = cache.lookup(base);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(*again, *first);
+  EXPECT_EQ(cache.stats().hits, 1u);
+}
+
+TEST(ProfileCache, IdenticalModelObjectsStillHit) {
+  // The memo keys models by object identity; distinct objects that
+  // behave identically must still share one cache entry.
+  ProfileCache cache(8);
+  const auto a = small_spec(kMiB);
+  const auto b = small_spec(kMiB);
+  ASSERT_NE(a.simulation, b.simulation);
+  ASSERT_NE(a.analytics, b.analytics);
+
+  auto first = cache.lookup(a);
+  auto second = cache.lookup(b);
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(*first, *second);
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, 1u);
 }

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <set>
+#include <utility>
 #include <vector>
+
+#include "common/rng.hpp"
 
 namespace pmemflow::sim {
 namespace {
@@ -286,6 +293,123 @@ TEST(EventQueue, CompactionPreservesOrderingAndLiveEvents) {
   }
   EXPECT_EQ(popped, 250u);
   EXPECT_EQ(fired.size(), 250u);
+}
+
+TEST(EventQueue, StaleHandlesNeverReachTheSlotsNewEvent) {
+  // Handles index slots that the queue recycles: once an event fires
+  // or is cancelled, a later event may take its slot. The old handle
+  // must then match nothing, and the new event must still fire.
+  EventQueue queue;
+  const EventId fired = queue.schedule(1, [] {});
+  queue.pop().second();
+  const EventId cancelled = queue.schedule(2, [] {});
+  ASSERT_TRUE(queue.cancel(cancelled));
+
+  int fires = 0;
+  const EventId reused = queue.schedule(3, [&] { ++fires; });
+  // One slot, three occupants: the handles share it but not a sequence.
+  EXPECT_EQ(reused.slot, fired.slot);
+  EXPECT_EQ(reused.slot, cancelled.slot);
+  EXPECT_NE(reused, fired);
+  EXPECT_NE(reused, cancelled);
+
+  EXPECT_FALSE(queue.cancel(fired));
+  EXPECT_FALSE(queue.cancel(cancelled));
+  EXPECT_FALSE(queue.reschedule(fired, 10).valid());
+  EXPECT_FALSE(queue.reschedule(cancelled, 10).valid());
+  EXPECT_FALSE(queue.cancel(EventId{}));
+  EXPECT_FALSE(queue.reschedule(EventId{}, 10).valid());
+  EXPECT_EQ(queue.size(), 1u);
+
+  auto [when, cb] = queue.pop();
+  EXPECT_EQ(when, 3u);
+  cb();
+  EXPECT_EQ(fires, 1);
+  EXPECT_TRUE(queue.empty());
+  EXPECT_FALSE(queue.cancel(reused));
+}
+
+TEST(EventQueue, RandomChurnMatchesAnOrderedSetReference) {
+  // 10k seeded schedule / cancel / reschedule / pop operations against
+  // a reference kept as an ordered set of (when, insertion order). Both
+  // must agree on every liveness answer and on the full pop order, and
+  // the heap must keep its compaction bound.
+  using Key = std::pair<SimTime, std::uint64_t>;
+  EventQueue queue;
+  std::set<Key> reference;
+  std::map<std::uint64_t, Key> key_of_tag;  // live tag -> reference key
+  std::vector<std::pair<EventId, std::uint64_t>> handles;  // (id, tag)
+  std::uint64_t next_order = 0;
+  std::uint64_t next_tag = 0;
+  std::uint64_t fired_tag = 0;
+  Xoshiro256 rng(0x636875726eULL);
+
+  // The compaction bound holds after every cancel and reschedule (a pop
+  // may leave dead entries in the majority until the next mutation).
+  auto check_bound = [&](int op) {
+    EXPECT_LE(queue.heap_size(), std::max<std::size_t>(2 * queue.size(), 64))
+        << "op " << op;
+  };
+  auto schedule = [&](SimTime when) {
+    const std::uint64_t tag = next_tag++;
+    const Key key{when, next_order++};
+    handles.emplace_back(
+        queue.schedule(when, [&fired_tag, tag] { fired_tag = tag; }), tag);
+    reference.insert(key);
+    key_of_tag[tag] = key;
+  };
+
+  for (int op = 0; op < 10000; ++op) {
+    const std::uint64_t choice = rng.below(8);
+    const SimTime when = rng.below(500);
+    if (choice < 3 || handles.empty()) {
+      schedule(when);
+    } else if (choice < 5) {
+      // Cancel any handle ever issued: live, fired, cancelled or moved.
+      const auto& [id, tag] = handles[rng.below(handles.size())];
+      const auto live = key_of_tag.find(tag);
+      EXPECT_EQ(queue.cancel(id), live != key_of_tag.end()) << "op " << op;
+      if (live != key_of_tag.end()) {
+        reference.erase(live->second);
+        key_of_tag.erase(live);
+        check_bound(op);
+      }
+    } else if (choice < 7) {
+      auto& [id, tag] = handles[rng.below(handles.size())];
+      const auto live = key_of_tag.find(tag);
+      const EventId moved = queue.reschedule(id, when);
+      EXPECT_EQ(moved.valid(), live != key_of_tag.end()) << "op " << op;
+      if (live != key_of_tag.end()) {
+        reference.erase(live->second);
+        live->second = Key{when, next_order++};
+        reference.insert(live->second);
+        id = moved;
+        check_bound(op);
+      }
+    } else if (!reference.empty()) {
+      const Key expected = *reference.begin();
+      EXPECT_EQ(queue.next_time(), expected.first) << "op " << op;
+      auto [at, cb] = queue.pop();
+      cb();
+      EXPECT_EQ(at, expected.first) << "op " << op;
+      EXPECT_EQ(key_of_tag.at(fired_tag), expected) << "op " << op;
+      reference.erase(reference.begin());
+      key_of_tag.erase(fired_tag);
+    }
+    ASSERT_EQ(queue.size(), reference.size()) << "op " << op;
+  }
+
+  while (!reference.empty()) {
+    auto [at, cb] = queue.pop();
+    cb();
+    EXPECT_EQ(at, reference.begin()->first);
+    EXPECT_EQ(key_of_tag.at(fired_tag), *reference.begin());
+    reference.erase(reference.begin());
+    key_of_tag.erase(fired_tag);
+  }
+  EXPECT_TRUE(queue.empty());
+  // Every handle is now stale.
+  for (const auto& [id, tag] : handles) EXPECT_FALSE(queue.cancel(id));
 }
 
 TEST(EventQueueDeathTest, PopOnEmptyAborts) {
