@@ -55,7 +55,7 @@ struct DagRunResult : workflow::JobResult {
 };
 
 /// Simulates one DAG deployment on `runner`'s platform and backends
-/// (its memoization setting and allocator counters apply). Fails with
+/// (the run's allocator counters accumulate in `runner`). Fails with
 /// no side effects on invalid specs or placements (unknown sockets,
 /// edge not local to an endpoint, per-socket core demand exceeding
 /// cores_per_socket).

@@ -41,9 +41,6 @@ class FlowDevice : public MemoryDevice {
       const noexcept override {
     return allocator_.counters();
   }
-  void set_allocator_memoization(bool enabled) noexcept override {
-    allocator_.set_memoization(enabled);
-  }
 
  protected:
   /// `resource_prefix` names the flow resource "<prefix>-socket<N>";

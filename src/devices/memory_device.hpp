@@ -69,10 +69,6 @@ class MemoryDevice {
     return {};
   }
 
-  /// Toggles rate-allocator memoization on THIS device's allocator.
-  /// No-op for backends without one.
-  virtual void set_allocator_memoization(bool /*enabled*/) noexcept {}
-
  protected:
   /// The fluid-flow resource `io()` charges against.
   [[nodiscard]] virtual sim::FlowResource& resource() noexcept = 0;

@@ -61,47 +61,41 @@ void OptaneRateAllocator::allocate(std::span<sim::Flow* const> flows) {
   }
 
   std::uint64_t hash = 0xcbf29ce484222325ULL;  // FNV offset basis
-  if (memoize_) {
-    for (const FlowClass& cls : key_) {
-      hash = hash_mix(hash, static_cast<std::uint64_t>(cls.kind));
-      hash = hash_mix(hash, static_cast<std::uint64_t>(cls.locality));
-      hash = hash_mix(hash, cls.op_size);
-      hash = hash_mix(hash, std::bit_cast<std::uint64_t>(cls.off_device_ns));
-    }
-    if (auto it = cache_.find(hash); it != cache_.end()) {
-      for (const CachedSolution& solution : it->second) {
-        if (solution.key != key_) continue;
-        for (std::size_t i = 0; i < flows.size(); ++i) {
-          flows[i]->device_rate = solution.rates[i].first;
-          flows[i]->progress_rate = solution.rates[i].second;
-        }
-        last_report_ = solution.report;
-        ++counters_.cache_hits;
-        return;
+  for (const FlowClass& cls : key_) {
+    hash = hash_mix(hash, static_cast<std::uint64_t>(cls.kind));
+    hash = hash_mix(hash, static_cast<std::uint64_t>(cls.locality));
+    hash = hash_mix(hash, cls.op_size);
+    hash = hash_mix(hash, std::bit_cast<std::uint64_t>(cls.off_device_ns));
+  }
+  if (auto it = cache_.find(hash); it != cache_.end()) {
+    for (const CachedSolution& solution : it->second) {
+      if (solution.key != key_) continue;
+      for (std::size_t i = 0; i < flows.size(); ++i) {
+        flows[i]->device_rate = solution.rates[i].first;
+        flows[i]->progress_rate = solution.rates[i].second;
       }
+      last_report_ = solution.report;
+      ++counters_.cache_hits;
+      return;
     }
   }
 
   solve(flows);
   ++counters_.solves;
-  counters_.solve_iterations +=
-      static_cast<std::uint64_t>(last_report_.iterations);
 
-  if (memoize_) {
-    if (cached_solutions_ >= kMaxCachedSolutions) {
-      cache_.clear();
-      cached_solutions_ = 0;
-    }
-    CachedSolution solution;
-    solution.key = key_;
-    solution.rates.reserve(flows.size());
-    for (const sim::Flow* flow : flows) {
-      solution.rates.emplace_back(flow->device_rate, flow->progress_rate);
-    }
-    solution.report = last_report_;
-    cache_[hash].push_back(std::move(solution));
-    ++cached_solutions_;
+  if (cached_solutions_ >= kMaxCachedSolutions) {
+    cache_.clear();
+    cached_solutions_ = 0;
   }
+  CachedSolution solution;
+  solution.key = key_;
+  solution.rates.reserve(flows.size());
+  for (const sim::Flow* flow : flows) {
+    solution.rates.emplace_back(flow->device_rate, flow->progress_rate);
+  }
+  solution.report = last_report_;
+  cache_[hash].push_back(std::move(solution));
+  ++cached_solutions_;
 }
 
 void OptaneRateAllocator::solve(std::span<sim::Flow* const> flows) {

@@ -21,14 +21,14 @@
 // presents the same class sequences over and over, so each allocator
 // keeps a bounded cache of solved sequences and replays the rates on a
 // hit. A hit is byte-identical to re-solving (same sequence => same
-// iteration trajectory), so schedules do not change with the cache on
-// or off; set_memoization(false) exists to prove that and to measure
-// the speedup (bench/perf_service).
+// iteration trajectory), so a long-lived allocator produces exactly the
+// rates a fresh one would; the allocator tests check that against a
+// fresh instance, whose first allocate() is always a pure solve.
 //
-// All memoization state — the solve cache, the hit/solve counters, and
-// the toggle — is per-instance. Two engines running concurrently (e.g.
-// two fleet regions advancing on separate threads) never share or
-// cross-pollinate allocator state.
+// All memoization state — the solve cache and the hit/solve counters —
+// is per-instance. Two engines running concurrently (e.g. two fleet
+// regions advancing on separate threads) never share or cross-pollinate
+// allocator state.
 #pragma once
 
 #include <cstdint>
@@ -57,7 +57,6 @@ struct AllocatorCounters {
   std::uint64_t allocate_calls = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t solves = 0;
-  std::uint64_t solve_iterations = 0;
 
   [[nodiscard]] double hit_rate() const noexcept {
     return allocate_calls == 0 ? 0.0
@@ -69,7 +68,6 @@ struct AllocatorCounters {
     allocate_calls += other.allocate_calls;
     cache_hits += other.cache_hits;
     solves += other.solves;
-    solve_iterations += other.solve_iterations;
     return *this;
   }
 
@@ -80,7 +78,6 @@ struct AllocatorCounters {
     a.allocate_calls -= b.allocate_calls;
     a.cache_hits -= b.cache_hits;
     a.solves -= b.solves;
-    a.solve_iterations -= b.solve_iterations;
     return a;
   }
 
@@ -105,14 +102,6 @@ class OptaneRateAllocator final : public sim::RateAllocator {
     return counters_;
   }
   void reset_counters() noexcept { counters_ = AllocatorCounters{}; }
-
-  /// Toggles solution memoization for THIS allocator (default on).
-  /// Schedules are byte-identical either way; off exists for the
-  /// perf-gate contrast and determinism tests.
-  void set_memoization(bool enabled) noexcept { memoize_ = enabled; }
-  [[nodiscard]] bool memoization_enabled() const noexcept {
-    return memoize_;
-  }
 
   [[nodiscard]] const BandwidthModel& model() const noexcept {
     return model_;
@@ -157,7 +146,6 @@ class OptaneRateAllocator final : public sim::RateAllocator {
   BandwidthModel model_;
   AllocationReport last_report_;
   AllocatorCounters counters_;
-  bool memoize_ = true;
 
   // Scratch buffers reused across allocate() calls (the DES hot path
   // calls allocate on every flow add/complete; per-call heap churn was

@@ -116,13 +116,6 @@ class InterferenceTable {
   }
   [[nodiscard]] std::size_t size() const noexcept { return pairs_.size(); }
 
-  /// Applies to the owned runner and to every temporary cross-backend
-  /// runner a measurement spins up. Default on.
-  void set_allocator_memoization(bool enabled) noexcept {
-    allocator_memoization_ = enabled;
-    runner_.set_allocator_memoization(enabled);
-  }
-
   /// Rate-allocator counters of every measurement this table has run
   /// (owned runner plus torn-down cross-backend runners).
   [[nodiscard]] pmemsim::AllocatorCounters allocator_counters()
@@ -134,7 +127,6 @@ class InterferenceTable {
 
  private:
   workflow::Runner runner_;
-  bool allocator_memoization_ = true;
   /// Counters of torn-down cross-backend runners.
   pmemsim::AllocatorCounters extra_allocator_counters_;
   /// Keyed by (min fingerprint, max fingerprint, device fingerprint of

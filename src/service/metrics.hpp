@@ -7,7 +7,9 @@
 //                    configuration for that workflow class);
 //   utilization    — per-node busy time over the run's makespan;
 //   admission      — admitted/deferred/rejected counts from the queue;
-//   cache          — hit/miss/eviction counts from the profile cache.
+//   cache          — hit/miss/eviction counts from the profile cache,
+//                    this run's share only (a warm rerun reports its
+//                    own hits, not the cache's lifetime totals).
 #pragma once
 
 #include <ostream>
@@ -99,6 +101,8 @@ struct ServiceMetrics {
   std::vector<double> node_utilization;
   double mean_utilization = 0.0;
   QueueStats admission;
+  /// Profile-cache lookups this run performed: the delta of each
+  /// region's cumulative cache stats across the run, like `allocator`.
   CacheStats cache;
   /// Deferred/rejected submissions automatically resubmitted by the
   /// service.
@@ -140,8 +144,8 @@ struct ServiceMetrics {
   /// Rate-allocator work this run performed (characterizations and
   /// interference measurements), as the delta of the per-allocator
   /// counters across the run — summed per region in region-index order
-  /// when sharded. allocator.cache_hits / allocator.solves is the
-  /// memoization gate's signal.
+  /// when sharded. allocator.hit_rate() is the share of allocations
+  /// the memoized solves answered without a fixed-point solve.
   pmemsim::AllocatorCounters allocator;
   /// Fleet regions the run was sharded into (1 = classic unsharded).
   std::uint32_t regions = 1;

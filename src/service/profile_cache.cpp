@@ -16,7 +16,6 @@ ProfileCache::ProfileCache(std::size_t capacity, core::Executor executor,
       characterizer_(executor_),
       recommender_(recommender),
       default_device_fp_(executor_.runner().devices().fingerprint()),
-      allocator_memoization_(executor_.runner().allocator_memoization()),
       entries_(capacity),
       dag_entries_(capacity),
       class_fingerprints_(capacity) {}
@@ -105,7 +104,6 @@ Expected<CachedProfile> ProfileCache::characterize(
   if (device_fp == default_device_fp_) return characterize(spec);
   core::Executor executor{
       workflow::Runner(executor_.runner().platform(), backend)};
-  executor.set_allocator_memoization(allocator_memoization_);
   auto result = characterize_on(spec, executor, device_fp);
   // The executor dies with this scope; fold its counters in first (on
   // the error path too — a failed sweep still ran the allocator).
@@ -167,7 +165,6 @@ Expected<CachedDagProfile> ProfileCache::characterize_dag_on(
 
   const topo::PlatformSpec& platform = executor_.runner().platform();
   workflow::Runner runner(platform, backend);
-  runner.set_allocator_memoization(allocator_memoization_);
   if (auto plan = dag::plan_spread(spec, platform); plan.has_value()) {
     auto run = dag::run(runner, spec, plan->run_options());
     if (!run.has_value()) return Unexpected{run.error()};

@@ -109,6 +109,22 @@ struct CacheStats {
                       : static_cast<double>(hits) /
                             static_cast<double>(total);
   }
+
+  CacheStats& operator+=(const CacheStats& other) noexcept {
+    hits += other.hits;
+    misses += other.misses;
+    evictions += other.evictions;
+    return *this;
+  }
+
+  /// Delta of two snapshots of the same monotonic stats (`a` taken
+  /// after `b`).
+  friend CacheStats operator-(CacheStats a, const CacheStats& b) noexcept {
+    a.hits -= b.hits;
+    a.misses -= b.misses;
+    a.evictions -= b.evictions;
+    return a;
+  }
 };
 
 class ProfileCache {
@@ -174,13 +190,6 @@ class ProfileCache {
   }
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
 
-  /// Applies to the owned executor and to every temporary executor a
-  /// cross-backend characterization spins up. Default on.
-  void set_allocator_memoization(bool enabled) noexcept {
-    allocator_memoization_ = enabled;
-    executor_.set_allocator_memoization(enabled);
-  }
-
   /// Rate-allocator counters of every characterization this cache has
   /// run: the owned executor's plus those of the short-lived
   /// cross-backend executors.
@@ -234,7 +243,6 @@ class ProfileCache {
   core::Characterizer characterizer_;
   core::Recommender recommender_;
   std::uint64_t default_device_fp_;
-  bool allocator_memoization_;
   /// Counters of torn-down cross-backend executors (mutable: const
   /// characterize() creates and destroys them).
   mutable pmemsim::AllocatorCounters extra_allocator_counters_;

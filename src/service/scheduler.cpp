@@ -26,10 +26,7 @@ OnlineScheduler::OnlineScheduler(ServiceConfig config, core::Executor executor,
       runner_proto_(executor.runner()),
       recommender_(recommender),
       interference_(executor.runner()),
-      cache_(config_.cache_capacity, std::move(executor), recommender) {
-  cache_.set_allocator_memoization(config_.allocator_memoization);
-  interference_.set_allocator_memoization(config_.allocator_memoization);
-}
+      cache_(config_.cache_capacity, std::move(executor), recommender) {}
 
 void OnlineScheduler::ensure_region_caches(std::uint32_t regions) {
   while (extra_caches_.size() + 1 < regions) {
@@ -38,8 +35,6 @@ void OnlineScheduler::ensure_region_caches(std::uint32_t regions) {
     auto cache = std::make_unique<ProfileCache>(
         config_.cache_capacity, core::Executor(workflow::Runner(runner_proto_)),
         recommender_);
-    cache->set_allocator_memoization(config_.allocator_memoization);
-    interference->set_allocator_memoization(config_.allocator_memoization);
     extra_caches_.push_back(std::move(cache));
     extra_interference_.push_back(std::move(interference));
   }
@@ -76,19 +71,24 @@ Expected<ServiceResult> OnlineScheduler::run(
         region_node_count(config_.nodes, region_count, r)));
   }
 
-  // Allocator counters are cumulative per cache; this run's share is
-  // the before/after delta, summed in region-index order.
+  // Cache stats and allocator counters are cumulative per cache (they
+  // survive across runs); this run's share is the before/after delta,
+  // summed in region-index order.
+  auto region_cache = [&](std::uint32_t r) -> const ProfileCache& {
+    return r == 0 ? cache_ : *extra_caches_[r - 1];
+  };
   auto region_allocator_counters =
       [&](std::uint32_t r) -> pmemsim::AllocatorCounters {
-    const ProfileCache& cache = r == 0 ? cache_ : *extra_caches_[r - 1];
     const InterferenceTable& interference =
         r == 0 ? interference_ : *extra_interference_[r - 1];
-    pmemsim::AllocatorCounters total = cache.allocator_counters();
+    pmemsim::AllocatorCounters total = region_cache(r).allocator_counters();
     total += interference.allocator_counters();
     return total;
   };
+  std::vector<CacheStats> cache_before(region_count);
   std::vector<pmemsim::AllocatorCounters> counters_before(region_count);
   for (std::uint32_t r = 0; r < region_count; ++r) {
+    cache_before[r] = region_cache(r).stats();
     counters_before[r] = region_allocator_counters(r);
   }
 
@@ -187,11 +187,7 @@ Expected<ServiceResult> OnlineScheduler::run(
     admission.deferred += queue.deferred;
     admission.rejected += queue.rejected;
     admission.high_water = std::max(admission.high_water, queue.high_water);
-    const CacheStats& cache =
-        (r == 0 ? cache_ : *extra_caches_[r - 1]).stats();
-    cache_stats.hits += cache.hits;
-    cache_stats.misses += cache.misses;
-    cache_stats.evictions += cache.evictions;
+    cache_stats += region_cache(r).stats() - cache_before[r];
     retries += region.retries();
     plans += region.plans();
     dropped += region.dropped();

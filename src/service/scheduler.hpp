@@ -100,11 +100,6 @@ struct ServiceConfig {
   /// the model. A NodeSpec whose DeviceSpec carries its own `capacity`
   /// overrides pmem_per_socket for that node's sockets.
   capacity::ResidencyParams capacity;
-  /// Memoize the rate allocator's bandwidth-share solves inside every
-  /// characterization this scheduler runs (per-allocator state — see
-  /// pmemsim::OptaneRateAllocator::set_memoization). Off re-solves
-  /// every allocation: the A/B switch the perf gate uses.
-  bool allocator_memoization = true;
   /// Fleet sharding: regions > 1 splits the fleet into epoch-
   /// synchronized sub-schedulers (service/sharding.hpp). `regions` is
   /// clamped to the node count; `threads` scales the replay across

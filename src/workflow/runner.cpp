@@ -476,7 +476,6 @@ Expected<EngineResult> Runner::run_jobs(std::span<const Job> jobs) const {
         auto device = spec.instantiate(
             engine, edge.socket,
             spec.capacity_or(platform_.pmem_per_socket()));
-        device->set_allocator_memoization(allocator_memoization_);
         devices.emplace(edge.socket, std::move(device));
       }
       if (!job.staging.enabled()) continue;

@@ -240,16 +240,6 @@ class Runner {
     return devices_;
   }
 
-  /// Applies to the rate allocators of every device the next runs
-  /// instantiate (devices are per-run, so this takes effect on the
-  /// following run call). Default on.
-  void set_allocator_memoization(bool enabled) noexcept {
-    allocator_memoization_ = enabled;
-  }
-  [[nodiscard]] bool allocator_memoization() const noexcept {
-    return allocator_memoization_;
-  }
-
   /// Allocator counters summed over every device of every run this
   /// Runner has executed so far (observational only; the devices
   /// themselves are torn down at the end of each run).
@@ -257,14 +247,10 @@ class Runner {
       const noexcept {
     return allocator_counters_;
   }
-  void reset_allocator_counters() noexcept {
-    allocator_counters_ = pmemsim::AllocatorCounters{};
-  }
 
  private:
   topo::PlatformSpec platform_;
   devices::NodeDevices devices_;
-  bool allocator_memoization_ = true;
   /// Accumulated from each run's short-lived devices; mutable because
   /// the run calls are const (they don't change configuration).
   mutable pmemsim::AllocatorCounters allocator_counters_;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <random>
+#include <set>
 #include <vector>
 
 namespace pmemflow::pmemsim {
@@ -225,23 +227,22 @@ TEST_F(AllocatorTest, MemoizedAllocateIsBitIdenticalToUncached) {
     return flows;
   };
 
-  // Uncached reference: every call re-runs the fixed point.
-  OptaneRateAllocator uncached(
+  // Uncached reference: a fresh allocator's first call is a pure solve.
+  OptaneRateAllocator fresh(
       BandwidthModel(OptaneParams{}, interconnect::UpiModel{}));
-  uncached.set_memoization(false);
   auto reference = build();
   {
     std::vector<sim::Flow*> pointers;
     for (auto& flow : reference) pointers.push_back(&flow);
-    uncached.allocate(pointers);
+    fresh.allocate(pointers);
   }
-  const AllocationReport uncached_report = uncached.last_report();
+  ASSERT_EQ(fresh.counters().solves, 1u);
+  const AllocationReport uncached_report = fresh.last_report();
 
   // Memoized: second allocate of the same sequence must hit and replay
   // the exact same bits.
   OptaneRateAllocator memoized(
       BandwidthModel(OptaneParams{}, interconnect::UpiModel{}));
-  ASSERT_TRUE(memoized.memoization_enabled());  // default on
   auto first = build();
   auto second = build();
   for (auto* flows : {&first, &second}) {
@@ -266,6 +267,95 @@ TEST_F(AllocatorTest, MemoizedAllocateIsBitIdenticalToUncached) {
   EXPECT_EQ(memoized.last_report().census.local_write,
             uncached_report.census.local_write);
   EXPECT_EQ(memoized.last_report().census.small, uncached_report.census.small);
+}
+
+TEST_F(AllocatorTest, ChurnThroughCacheClearsMatchesFreshSolves) {
+  // One long-lived allocator over thousands of flow sets drawn, with
+  // repeats, from a small class pool: far more distinct sequences than
+  // the cache holds, so it is wholesale-cleared several times. Every
+  // answer — hit, miss, or miss after a clear — must be bit-equal to a
+  // fresh allocator's pure solve of the same set.
+  struct Class {
+    sim::IoKind kind;
+    sim::Locality locality;
+    Bytes op_size;
+    double sw_ns;
+  };
+  const std::vector<Class> pool{
+      {sim::IoKind::kRead, sim::Locality::kLocal, 64 * kMB, 0.0},
+      {sim::IoKind::kWrite, sim::Locality::kLocal, 64 * kMB, 0.0},
+      {sim::IoKind::kRead, sim::Locality::kRemote, 64 * kMB, 500.0},
+      {sim::IoKind::kWrite, sim::Locality::kRemote, 64 * kMB, 0.0},
+      {sim::IoKind::kWrite, sim::Locality::kLocal, 2 * kKB, 800.0},
+      {sim::IoKind::kRead, sim::Locality::kLocal, 2 * kKB, 2000.0},
+  };
+  // A few hot sequences recur throughout, as a workflow's iteration
+  // loop does; the rest are random draws of 1..4 classes.
+  const std::vector<std::vector<std::size_t>> hot{
+      {0}, {1, 1}, {0, 1}, {1, 0}, {4, 4, 4}, {2, 3, 5}, {5, 0, 1, 4}};
+
+  std::mt19937_64 rng(20211);
+  OptaneRateAllocator allocator(
+      BandwidthModel(OptaneParams{}, interconnect::UpiModel{}));
+  std::set<std::vector<std::size_t>> distinct;
+  constexpr int kCalls = 3000;
+  for (int call = 0; call < kCalls; ++call) {
+    std::vector<std::size_t> sequence;
+    if (rng() % 2 == 0) {
+      sequence = hot[rng() % hot.size()];
+    } else {
+      const std::size_t length = 1 + rng() % 4;
+      for (std::size_t i = 0; i < length; ++i) {
+        sequence.push_back(rng() % pool.size());
+      }
+    }
+    distinct.insert(sequence);
+
+    auto build = [&] {
+      std::vector<sim::Flow> flows;
+      for (const std::size_t index : sequence) {
+        const Class& cls = pool[index];
+        flows.push_back(
+            make_flow(cls.kind, cls.locality, cls.op_size, cls.sw_ns));
+      }
+      return flows;
+    };
+    auto live = build();
+    auto reference = build();
+    std::vector<sim::Flow*> live_ptrs;
+    std::vector<sim::Flow*> reference_ptrs;
+    for (auto& flow : live) live_ptrs.push_back(&flow);
+    for (auto& flow : reference) reference_ptrs.push_back(&flow);
+    allocator.allocate(live_ptrs);
+    OptaneRateAllocator fresh(
+        BandwidthModel(OptaneParams{}, interconnect::UpiModel{}));
+    fresh.allocate(reference_ptrs);
+
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      ASSERT_EQ(live[i].device_rate, reference[i].device_rate) << call;
+      ASSERT_EQ(live[i].progress_rate, reference[i].progress_rate) << call;
+    }
+    const AllocationReport& got = allocator.last_report();
+    const AllocationReport& want = fresh.last_report();
+    ASSERT_EQ(got.iterations, want.iterations) << call;
+    ASSERT_EQ(got.converged, want.converged) << call;
+    ASSERT_EQ(got.census.local_read, want.census.local_read) << call;
+    ASSERT_EQ(got.census.local_write, want.census.local_write) << call;
+    ASSERT_EQ(got.census.remote_read, want.census.remote_read) << call;
+    ASSERT_EQ(got.census.remote_write, want.census.remote_write) << call;
+    ASSERT_EQ(got.census.remote_write_large, want.census.remote_write_large)
+        << call;
+    ASSERT_EQ(got.census.small, want.census.small) << call;
+  }
+
+  const AllocatorCounters& counters = allocator.counters();
+  EXPECT_EQ(counters.allocate_calls, static_cast<std::uint64_t>(kCalls));
+  EXPECT_EQ(counters.cache_hits + counters.solves, counters.allocate_calls);
+  EXPECT_GT(counters.cache_hits, 0u);
+  // More distinct sequences than the cache holds...
+  EXPECT_GT(distinct.size(), 256u);
+  // ...and some were solved twice: only a clear forgets a solution.
+  EXPECT_GT(counters.solves, distinct.size());
 }
 
 TEST_F(AllocatorTest, MemoKeyDistinguishesSequenceOrder) {
@@ -298,28 +388,15 @@ TEST_F(AllocatorTest, MemoKeyDistinguishesOffDeviceCosts) {
   EXPECT_GT(cheap[0].progress_rate, costly[0].progress_rate);
 }
 
-TEST_F(AllocatorTest, DisablingMemoizationStillSolvesEveryCall) {
-  allocator_.set_memoization(false);
-  std::vector<sim::Flow> flows{
-      make_flow(sim::IoKind::kRead, sim::Locality::kLocal, 64 * kMB)};
-  allocate(flows);
-  allocate(flows);
-  EXPECT_EQ(allocator_.counters().allocate_calls, 2u);
-  EXPECT_EQ(allocator_.counters().solves, 2u);
-  EXPECT_EQ(allocator_.counters().cache_hits, 0u);
-}
-
 TEST_F(AllocatorTest, InstancesDoNotCrossPollinate) {
   // Two allocators (stand-ins for two engines running side by side)
-  // must keep independent memo caches, counters, and toggles: the
-  // sharded scheduler relies on per-instance state for its regions to
-  // be advanceable on separate threads.
+  // must keep independent memo caches and counters: the sharded
+  // scheduler relies on per-instance state for its regions to be
+  // advanceable on separate threads.
   OptaneRateAllocator a(
       BandwidthModel(OptaneParams{}, interconnect::UpiModel{}));
   OptaneRateAllocator b(
       BandwidthModel(OptaneParams{}, interconnect::UpiModel{}));
-  b.set_memoization(false);
-  EXPECT_TRUE(a.memoization_enabled());  // b's toggle is b's alone
 
   auto run = [](OptaneRateAllocator& allocator) {
     std::vector<sim::Flow> flows{
@@ -338,20 +415,25 @@ TEST_F(AllocatorTest, InstancesDoNotCrossPollinate) {
   EXPECT_EQ(a.counters().cache_hits, 1u);
   EXPECT_EQ(b.counters(), AllocatorCounters{});
 
-  // The same sequence on b cannot hit a's cache entry, and b's
-  // (memoization-off) solves don't inflate a's counters.
-  const double rate_b = run(b);
-  run(b);
-  EXPECT_EQ(rate_b, rate_a1);  // same physics, separate caches
-  EXPECT_EQ(b.counters().allocate_calls, 2u);
-  EXPECT_EQ(b.counters().solves, 2u);
+  // The same sequence on b cannot hit a's cache entry: b's first call
+  // is a pure solve of its own, and only its repeat hits (b's cache).
+  // Neither touches a's counters.
+  const double rate_b1 = run(b);
+  EXPECT_EQ(b.counters().solves, 1u);
   EXPECT_EQ(b.counters().cache_hits, 0u);
+  const double rate_b2 = run(b);
+  EXPECT_EQ(rate_b1, rate_a1);  // same physics, separate caches
+  EXPECT_EQ(rate_b2, rate_b1);
+  EXPECT_EQ(b.counters().allocate_calls, 2u);
+  EXPECT_EQ(b.counters().solves, 1u);
+  EXPECT_EQ(b.counters().cache_hits, 1u);
   EXPECT_EQ(a.counters().allocate_calls, 2u);
+  EXPECT_EQ(a.counters().solves, 1u);
 
   // reset_counters is per-instance too.
   a.reset_counters();
   EXPECT_EQ(a.counters(), AllocatorCounters{});
-  EXPECT_EQ(b.counters().solves, 2u);
+  EXPECT_EQ(b.counters().solves, 1u);
 }
 
 TEST_F(AllocatorTest, DeterministicAcrossCalls) {

@@ -274,6 +274,35 @@ TEST(OnlineScheduler, CachePersistsAcrossRuns) {
   }
 }
 
+TEST(OnlineScheduler, WarmRerunReportsOnlyItsOwnCacheLookups) {
+  // Cache stats are cumulative per cache, but a run's metrics report
+  // that run's share, like its allocator counters: the warm rerun
+  // looked up every submission once and characterized nothing.
+  const auto stream = must_stream(small_stream_params());
+  for (const std::uint32_t regions : {1u, 2u}) {
+    ServiceConfig config;
+    config.nodes = 4;
+    config.queue_capacity = stream.size();
+    config.defer_watermark = 1.0;
+    config.sharding.regions = regions;
+
+    OnlineScheduler scheduler(config);
+    auto first = scheduler.run(stream);
+    ASSERT_TRUE(first.has_value());
+    EXPECT_EQ(first->metrics.cache.misses + first->metrics.cache.hits,
+              stream.size())
+        << regions;
+    EXPECT_GT(first->metrics.allocator.solves, 0u) << regions;
+
+    auto second = scheduler.run(stream);
+    ASSERT_TRUE(second.has_value());
+    EXPECT_EQ(second->metrics.cache.misses, 0u) << regions;
+    EXPECT_EQ(second->metrics.cache.hits, stream.size()) << regions;
+    EXPECT_EQ(second->metrics.cache.evictions, 0u) << regions;
+    EXPECT_EQ(second->metrics.allocator.solves, 0u) << regions;
+  }
+}
+
 TEST(OnlineScheduler, TracerSpansBalance) {
   auto params = small_stream_params();
   params.count = 30;
