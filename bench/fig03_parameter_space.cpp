@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
             << "I/O index = I/O time / iteration time, standalone,\n"
             << "serial, node-local PMEM (paper SIV-C definition)\n\n";
 
-  core::Characterizer characterizer;
+  const core::Executor executor;
   TextTable table({"Workflow", "Sim I/O idx", "Ana I/O idx", "Object size",
                    "Objects/iter", "Concurrency"},
                   {Align::kLeft, Align::kRight, Align::kRight,
@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
                  "concurrency_class"});
 
   for (const auto& spec : workloads::full_suite()) {
-    auto profile = characterizer.profile(spec);
+    auto profile = core::characterize(executor, spec);
     if (!profile.has_value()) {
       std::cerr << "error: " << profile.error().message << "\n";
       return 1;

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   std::cout << "=== Table II: Configuration recommendations for "
                "workflows ===\n\n";
 
-  core::AutoTuner tuner;
+  const core::Executor executor;
   TextTable table(
       {"Workflow", "SimCmp", "SimWr", "AnaCmp", "AnaRd", "Obj", "Conc",
        "Best", "Rule", "rgt", "Model", "rgt"},
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   int total = 0;
 
   for (const auto& spec : workloads::full_suite()) {
-    auto report = tuner.tune(spec);
+    auto report = core::tune(executor, spec);
     if (!report.has_value()) {
       std::cerr << "error: " << report.error().message << "\n";
       return 1;

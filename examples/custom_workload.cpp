@@ -64,13 +64,13 @@ int main() {
   spec.analytics = std::make_shared<HistogramAnalytics>();
   spec.iterations = 10;
 
-  core::AutoTuner tuner;
+  const core::Executor executor;
   std::printf("%-8s %-10s %-10s %-28s\n", "ranks", "best", "rule-based",
               "runtimes S-LocW/S-LocR/P-LocW/P-LocR (s)");
   for (std::uint32_t ranks : {4u, 8u, 16u, 24u}) {
     spec.ranks = ranks;
     spec.label = "hydro+histogram@" + std::to_string(ranks);
-    auto report = tuner.tune(spec);
+    auto report = core::tune(executor, spec);
     if (!report.has_value()) {
       std::fprintf(stderr, "tuning failed: %s\n",
                    report.error().message.c_str());

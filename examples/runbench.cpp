@@ -80,8 +80,7 @@ int main(int argc, char** argv) {
   core::Executor executor;
 
   if (flags.get_bool("recommend")) {
-    core::AutoTuner tuner;
-    auto report = tuner.tune(spec);
+    auto report = core::tune(executor, spec);
     if (!report.has_value()) {
       std::fprintf(stderr, "error: %s\n", report.error().message.c_str());
       return 1;

@@ -10,6 +10,9 @@
 //   2. recommend     — Table II rules and the model-based estimator
 //   3. validate      — exhaustively simulate all four configurations
 //                      and report the recommenders' regret
+//
+// One core::tune call does all three: the sweep of step 3 includes the
+// serial node-local runs that step 1 reads its I/O indexes from.
 #include <cstdio>
 
 #include "core/autotuner.hpp"
@@ -22,35 +25,35 @@ int main() {
       workloads::Family::kGtcMatrixMult, /*ranks=*/16);
   std::printf("scheduling decision for %s\n\n", spec.label.c_str());
 
-  // Step 1: characterization.
-  core::Executor executor;
-  core::Characterizer characterizer(executor);
-  auto profile = characterizer.profile(spec);
-  if (!profile.has_value()) {
-    std::fprintf(stderr, "characterization failed: %s\n",
-                 profile.error().message.c_str());
+  const core::Executor executor;
+  auto report = core::tune(executor, spec);
+  if (!report.has_value()) {
+    std::fprintf(stderr, "tuning failed: %s\n",
+                 report.error().message.c_str());
     return 1;
   }
+
+  // Step 1: characterization.
+  const core::WorkflowProfile& profile = report->profile;
   std::printf("characterization (standalone, node-local, serial):\n");
   std::printf("  simulation: %.3f s/iteration, I/O index %.2f\n",
-              profile->simulation.iteration_ns / 1e9,
-              profile->simulation.io_index());
+              profile.simulation.iteration_ns / 1e9,
+              profile.simulation.io_index());
   std::printf("  analytics:  %.3f s/iteration, I/O index %.2f\n",
-              profile->analytics.iteration_ns / 1e9,
-              profile->analytics.io_index());
+              profile.analytics.iteration_ns / 1e9,
+              profile.analytics.io_index());
   std::printf("  features: sim compute %s / write %s, analytics compute "
               "%s / read %s, %s objects, %s concurrency\n\n",
-              core::to_string(profile->features.sim_compute),
-              core::to_string(profile->features.sim_write),
-              core::to_string(profile->features.analytics_compute),
-              core::to_string(profile->features.analytics_read),
-              profile->features.small_objects ? "small" : "large",
-              core::to_string(profile->features.concurrency));
+              core::to_string(profile.features.sim_compute),
+              core::to_string(profile.features.sim_write),
+              core::to_string(profile.features.analytics_compute),
+              core::to_string(profile.features.analytics_read),
+              profile.features.small_objects ? "small" : "large",
+              core::to_string(profile.features.concurrency));
 
   // Step 2: recommendations.
-  core::Recommender recommender;
-  const auto rule = recommender.rule_based(*profile, spec);
-  const auto model = recommender.model_based(*profile, spec);
+  const core::Recommendation& rule = report->rule_based;
+  const core::Recommendation& model = report->model_based;
   std::printf("rule-based (Table II%s): %s\n",
               rule.table2_row > 0 ? " row matched" : ", fallback",
               rule.config.label().c_str());
@@ -64,13 +67,6 @@ int main() {
   std::printf("\n");
 
   // Step 3: validation against the exhaustive sweep.
-  core::AutoTuner tuner(executor, recommender);
-  auto report = tuner.tune(spec);
-  if (!report.has_value()) {
-    std::fprintf(stderr, "tuning failed: %s\n",
-                 report.error().message.c_str());
-    return 1;
-  }
   std::printf("exhaustive sweep (ground truth):\n");
   for (std::size_t i = 0; i < report->sweep.results.size(); ++i) {
     const auto& result = report->sweep.results[i];

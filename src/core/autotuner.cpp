@@ -4,8 +4,10 @@
 
 namespace pmemflow::core {
 
-double AutoTuner::regret_of(const ConfigSweep& sweep,
-                            const DeploymentConfig& config) {
+namespace {
+
+/// Normalized runtime of `config` within `sweep`.
+double regret_of(const ConfigSweep& sweep, const DeploymentConfig& config) {
   for (std::size_t i = 0; i < sweep.results.size(); ++i) {
     if (sweep.results[i].config == config) {
       return sweep.normalized(i);
@@ -15,19 +17,23 @@ double AutoTuner::regret_of(const ConfigSweep& sweep,
   return 0.0;
 }
 
-Expected<TuningReport> AutoTuner::tune(
-    const workflow::WorkflowSpec& spec) const {
-  auto sweep = executor_.sweep(spec);
+}  // namespace
+
+Expected<TuningReport> tune(const Executor& executor,
+                            const workflow::WorkflowSpec& spec,
+                            const Recommender& recommender) {
+  auto sweep = executor.sweep(spec);
   if (!sweep.has_value()) return Unexpected{sweep.error()};
-  auto profile = characterizer_.profile(spec);
-  if (!profile.has_value()) return Unexpected{profile.error()};
 
   TuningReport report;
   report.sweep = *std::move(sweep);
-  report.profile = *std::move(profile);
+  // Table I order: S-LocW, S-LocR, P-LocW, P-LocR.
+  report.profile = profile_from(
+      spec, report.sweep.results[0], report.sweep.results[1],
+      executor.runner().devices().primary().small_access_threshold());
   report.best = report.sweep.best().config;
-  report.rule_based = recommender_.rule_based(report.profile, spec);
-  report.model_based = recommender_.model_based(report.profile, spec);
+  report.rule_based = recommender.rule_based(report.profile, spec);
+  report.model_based = recommender.model_based(report.profile, spec);
   report.rule_based_regret =
       regret_of(report.sweep, report.rule_based.config);
   report.model_based_regret =

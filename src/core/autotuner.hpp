@@ -1,11 +1,13 @@
 // Auto-tuner: exhaustive configuration search plus recommender audit.
 //
 // Because deployments are simulated, trying all four Table I
-// configurations is cheap; the auto-tuner does exactly that and reports
-// the empirical best alongside what the rule-based and model-based
+// configurations is cheap; tune() does exactly that and reports the
+// empirical best alongside what the rule-based and model-based
 // recommenders *would* have chosen — including each strategy's regret
 // (recommended runtime / best runtime). This is the validation loop the
-// paper's conclusions ask future schedulers to close.
+// paper's conclusions ask future schedulers to close. The profile the
+// recommenders read comes from the sweep's own S-LocW and S-LocR runs,
+// so a tuning costs exactly four workflow runs.
 #pragma once
 
 #include "core/recommender.hpp"
@@ -24,29 +26,10 @@ struct TuningReport {
   double model_based_regret = 1.0;
 };
 
-class AutoTuner {
- public:
-  explicit AutoTuner(Executor executor = Executor(),
-                     Recommender recommender = Recommender())
-      : executor_(std::move(executor)),
-        characterizer_(executor_),
-        recommender_(recommender) {}
-
-  [[nodiscard]] Expected<TuningReport> tune(
-      const workflow::WorkflowSpec& spec) const;
-
-  [[nodiscard]] const Executor& executor() const noexcept {
-    return executor_;
-  }
-
- private:
-  /// Normalized runtime of `config` within `sweep`.
-  static double regret_of(const ConfigSweep& sweep,
-                          const DeploymentConfig& config);
-
-  Executor executor_;
-  Characterizer characterizer_;
-  Recommender recommender_;
-};
+/// Sweeps `spec` on `executor`, derives its profile from the sweep and
+/// audits both recommenders against the empirical best.
+[[nodiscard]] Expected<TuningReport> tune(
+    const Executor& executor, const workflow::WorkflowSpec& spec,
+    const Recommender& recommender = Recommender());
 
 }  // namespace pmemflow::core

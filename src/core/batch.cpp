@@ -22,15 +22,13 @@ Expected<DeploymentConfig> BatchScheduler::pick_config(
     case BatchPolicy::kFixedPLocR:
       return DeploymentConfig{ExecutionMode::kParallel,
                               Placement::kLocalRead};
-    case BatchPolicy::kRuleBased: {
-      auto profile = characterizer_.profile(spec);
-      if (!profile.has_value()) return Unexpected{profile.error()};
-      return recommender_.rule_based(*profile, spec).config;
-    }
+    case BatchPolicy::kRuleBased:
     case BatchPolicy::kModelBased: {
-      auto profile = characterizer_.profile(spec);
+      auto profile = characterize(executor_, spec);
       if (!profile.has_value()) return Unexpected{profile.error()};
-      return recommender_.model_based(*profile, spec).config;
+      return policy == BatchPolicy::kRuleBased
+                 ? recommender_.rule_based(*profile, spec).config
+                 : recommender_.model_based(*profile, spec).config;
     }
     case BatchPolicy::kOracle: {
       auto sweep = executor_.sweep(spec);

@@ -60,9 +60,7 @@ class BatchScheduler {
  public:
   explicit BatchScheduler(Executor executor = Executor(),
                           Recommender recommender = Recommender())
-      : executor_(std::move(executor)),
-        characterizer_(executor_),
-        recommender_(recommender) {}
+      : executor_(std::move(executor)), recommender_(recommender) {}
 
   /// Schedules the batch under `policy` and simulates it; workflows run
   /// in queue order, back-to-back.
@@ -79,7 +77,6 @@ class BatchScheduler {
       const workflow::WorkflowSpec& spec, BatchPolicy policy) const;
 
   Executor executor_;
-  Characterizer characterizer_;
   Recommender recommender_;
 };
 

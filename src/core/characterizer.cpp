@@ -1,13 +1,17 @@
 #include "core/characterizer.hpp"
 
 #include <algorithm>
-#include <memory>
 
 #include "common/assert.hpp"
 
 namespace pmemflow::core {
 
 namespace {
+
+constexpr DeploymentConfig kSerialLocW{ExecutionMode::kSerial,
+                                       Placement::kLocalWrite};
+constexpr DeploymentConfig kSerialLocR{ExecutionMode::kSerial,
+                                       Placement::kLocalRead};
 
 Level classify_fraction(double fraction) {
   if (fraction < 0.02) return Level::kNil;
@@ -28,9 +32,9 @@ const char* to_string(Level level) noexcept {
   return "?";
 }
 
-WorkflowFeatures Characterizer::derive_features(
-    const ComponentProfile& simulation, const ComponentProfile& analytics,
-    std::uint32_t ranks, Bytes small_threshold) {
+WorkflowFeatures derive_features(const ComponentProfile& simulation,
+                                 const ComponentProfile& analytics,
+                                 std::uint32_t ranks, Bytes small_threshold) {
   WorkflowFeatures features;
   features.sim_compute = classify_fraction(1.0 - simulation.io_index());
   features.sim_write = classify_fraction(simulation.io_index());
@@ -44,24 +48,12 @@ WorkflowFeatures Characterizer::derive_features(
   return features;
 }
 
-Expected<WorkflowProfile> Characterizer::profile(
-    const workflow::WorkflowSpec& spec) const {
-  // Standalone component times: in serial mode the writer phase is
-  // unaffected by the readers, so S-LocW's writer span *is* the
-  // standalone node-local writer runtime; S-LocR's reader span is the
-  // standalone node-local reader runtime. The compute share of each
-  // iteration is known exactly from the component model, so
-  // io_time = iteration_time - compute_time (the paper's definition:
-  // each iteration is composed of a compute and an I/O phase, §IV-A).
-  const DeploymentConfig serial_locw{ExecutionMode::kSerial,
-                                     Placement::kLocalWrite};
-  const DeploymentConfig serial_locr{ExecutionMode::kSerial,
-                                     Placement::kLocalRead};
-
-  auto base_w = executor_.execute(spec, serial_locw);
-  if (!base_w.has_value()) return Unexpected{base_w.error()};
-  auto base_r = executor_.execute(spec, serial_locr);
-  if (!base_r.has_value()) return Unexpected{base_r.error()};
+WorkflowProfile profile_from(const workflow::WorkflowSpec& spec,
+                             const ConfigResult& serial_locw,
+                             const ConfigResult& serial_locr,
+                             Bytes small_threshold) {
+  PMEMFLOW_ASSERT(serial_locw.config == kSerialLocW);
+  PMEMFLOW_ASSERT(serial_locr.config == kSerialLocR);
 
   const double iters = static_cast<double>(spec.iterations);
   const stack::SnapshotPart part =
@@ -70,14 +62,14 @@ Expected<WorkflowProfile> Characterizer::profile(
   WorkflowProfile profile;
   profile.ranks = spec.ranks;
   profile.simulation.iteration_ns =
-      static_cast<double>(base_w->run.writer_span_ns) / iters;
+      static_cast<double>(serial_locw.run.writer_span_ns) / iters;
   const double sim_compute =
       spec.simulation->compute_ns_per_iteration(0, spec.ranks);
   profile.simulation.io_ns =
       std::max(0.0, profile.simulation.iteration_ns - sim_compute);
 
   profile.analytics.iteration_ns =
-      static_cast<double>(base_r->run.reader_span_ns()) / iters;
+      static_cast<double>(serial_locr.run.reader_span_ns()) / iters;
   const double ana_compute =
       spec.analytics->compute_ns_per_object(stack::part_op_size(part)) *
       static_cast<double>(stack::part_object_count(part));
@@ -92,10 +84,20 @@ Expected<WorkflowProfile> Characterizer::profile(
   profile.analytics.bytes_per_iteration =
       profile.simulation.bytes_per_iteration;
 
-  profile.features = derive_features(
-      profile.simulation, profile.analytics, spec.ranks,
-      executor_.runner().devices().primary().small_access_threshold());
+  profile.features = derive_features(profile.simulation, profile.analytics,
+                                     spec.ranks, small_threshold);
   return profile;
+}
+
+Expected<WorkflowProfile> characterize(const Executor& executor,
+                                       const workflow::WorkflowSpec& spec) {
+  auto serial_locw = executor.execute(spec, kSerialLocW);
+  if (!serial_locw.has_value()) return Unexpected{serial_locw.error()};
+  auto serial_locr = executor.execute(spec, kSerialLocR);
+  if (!serial_locr.has_value()) return Unexpected{serial_locr.error()};
+  return profile_from(
+      spec, *serial_locw, *serial_locr,
+      executor.runner().devices().primary().small_access_threshold());
 }
 
 }  // namespace pmemflow::core

@@ -1,6 +1,6 @@
 // Scheduling recommendation engine (paper §VIII + Table II).
 //
-// Two strategies, both consuming the characterizer's workflow profile:
+// Two strategies, both consuming a WorkflowProfile (characterizer.hpp):
 //
 //   rule_based  — the paper's Table II encoded as an ordered rule list
 //                 over qualitative features (compute/IO levels, object

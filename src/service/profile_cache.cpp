@@ -13,7 +13,6 @@ namespace pmemflow::service {
 ProfileCache::ProfileCache(std::size_t capacity, core::Executor executor,
                            core::Recommender recommender)
     : executor_(std::move(executor)),
-      characterizer_(executor_),
       recommender_(recommender),
       default_device_fp_(executor_.runner().devices().fingerprint()),
       entries_(capacity),
@@ -71,24 +70,21 @@ std::uint64_t ProfileCache::key_of(std::uint64_t class_fp,
 Expected<CachedProfile> ProfileCache::characterize_on(
     const workflow::WorkflowSpec& spec, const core::Executor& executor,
     std::uint64_t device_fp) const {
+  auto report = core::tune(executor, spec, recommender_);
+  if (!report.has_value()) return Unexpected{report.error()};
+
   CachedProfile cached;
   cached.fingerprint = workflow::class_fingerprint(spec);
   cached.device_fingerprint = device_fp;
-
-  const core::Characterizer characterizer{executor};
-  auto profile = characterizer.profile(spec);
-  if (!profile.has_value()) return Unexpected{profile.error()};
-  cached.profile = *profile;
-  cached.rule_based = recommender_.rule_based(*profile, spec);
-  cached.model_based = recommender_.model_based(*profile, spec);
-
-  auto sweep = executor.sweep(spec);
-  if (!sweep.has_value()) return Unexpected{sweep.error()};
-  PMEMFLOW_ASSERT(sweep->results.size() == cached.runtime_ns.size());
+  cached.profile = report->profile;
+  cached.rule_based = report->rule_based;
+  cached.model_based = report->model_based;
+  const auto& results = report->sweep.results;
+  PMEMFLOW_ASSERT(results.size() == cached.runtime_ns.size());
   for (std::size_t i = 0; i < cached.runtime_ns.size(); ++i) {
-    cached.runtime_ns[i] = sweep->results[i].run.total_ns;
+    cached.runtime_ns[i] = results[i].run.total_ns;
   }
-  cached.best_index = sweep->best_index();
+  cached.best_index = report->sweep.best_index();
   return cached;
 }
 

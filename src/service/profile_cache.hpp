@@ -1,12 +1,13 @@
 // Memoized workflow characterization + recommendation (LRU).
 //
-// Characterizing a workflow costs two standalone component runs plus —
-// for the oracle data the service's slowdown metric needs — a full
-// four-configuration sweep. Online, the same workflow *classes* recur
-// constantly (the paper's premise: I/O indexes are reusable per-class
-// profiles, §IV-C), so the service memoizes the whole characterization
-// bundle keyed by (workflow::class_fingerprint, device fingerprint of
-// the memory backend the profile was measured on). Repeat submissions
+// Characterizing a workflow costs one four-configuration sweep
+// (core::tune): its two serial runs give the class profile, and all
+// four give the oracle runtimes the service's slowdown metric needs.
+// Online, the same workflow *classes* recur constantly (the paper's
+// premise: I/O indexes are reusable per-class profiles, §IV-C), so the
+// service memoizes the whole characterization bundle keyed by
+// (workflow::class_fingerprint, device fingerprint of the memory
+// backend the profile was measured on). Repeat submissions
 // of a class skip the four-config solve entirely; the cache returns the
 // exact object computed the first time, so a hit is byte-identical to a
 // fresh characterization. The device half of the key matters on
@@ -240,7 +241,6 @@ class ProfileCache {
       std::uint64_t device_fp) const;
 
   core::Executor executor_;
-  core::Characterizer characterizer_;
   core::Recommender recommender_;
   std::uint64_t default_device_fp_;
   /// Counters of torn-down cross-backend executors (mutable: const

@@ -12,11 +12,10 @@ namespace {
 class RecommenderTest : public ::testing::Test {
  protected:
   Executor executor_;
-  Characterizer characterizer_{executor_};
   Recommender recommender_;
 
   WorkflowProfile profile_of(const workflow::WorkflowSpec& spec) {
-    auto profile = characterizer_.profile(spec);
+    auto profile = characterize(executor_, spec);
     EXPECT_TRUE(profile.has_value());
     return *std::move(profile);
   }
@@ -134,8 +133,7 @@ TEST_P(EstimatorAccuracy, EstimateTracksSimulation) {
       sim, analytics, static_cast<std::uint32_t>(2 + rng.below(23)), 8);
 
   Executor executor;
-  Characterizer characterizer(executor);
-  auto profile = characterizer.profile(spec);
+  auto profile = characterize(executor, spec);
   ASSERT_TRUE(profile.has_value());
   Recommender recommender;
 

@@ -48,6 +48,15 @@ const PanelCase kPanels[] = {
     {workloads::Family::kMiniAmrMatrixMult, 24, "S-LocW", "S-LocW"},
 };
 
+// gtest prints the parameter into every test name ctest lists; without
+// this it dumps the struct's raw bytes, pointers included, and the
+// names change from build to build.
+void PrintTo(const PanelCase& panel, std::ostream* os) {
+  *os << to_string(panel.family) << " ranks=" << panel.ranks
+      << " paper=" << panel.paper_winner
+      << " measured=" << panel.measured_winner;
+}
+
 class AcceptancePanel : public ::testing::TestWithParam<PanelCase> {};
 
 TEST_P(AcceptancePanel, WinnerMatchesRecordedResult) {

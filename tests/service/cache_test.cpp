@@ -217,5 +217,29 @@ TEST(ProfileCache, ArrivalPoolClassesAllCacheable) {
   EXPECT_EQ(cache.size(), 6u);
 }
 
+TEST(ProfileCache, ColdMissRunsExactlyOneSweep) {
+  // A miss characterizes from the Table I sweep alone: its allocator
+  // work equals one sweep on a fresh executor of the same backend, on
+  // the default backend and on a cross-backend executor alike.
+  const auto spec = small_spec(kMiB, 5e4);
+  for (const char* name : {"optane-gen1", "optane-gen2"}) {
+    SCOPED_TRACE(name);
+    auto backend = devices::parse_backend(name);
+    ASSERT_TRUE(backend.has_value());
+    ProfileCache cache(4);
+    ASSERT_TRUE(cache.lookup(spec, *backend).has_value());
+    const core::Executor reference{
+        workflow::Runner(topo::PlatformSpec{}, *backend)};
+    ASSERT_TRUE(reference.sweep(spec).has_value());
+
+    const auto counted = cache.allocator_counters();
+    const auto& expected = reference.runner().allocator_counters();
+    EXPECT_GT(expected.allocate_calls, 0u);
+    EXPECT_EQ(counted.allocate_calls, expected.allocate_calls);
+    EXPECT_EQ(counted.cache_hits, expected.cache_hits);
+    EXPECT_EQ(counted.solves, expected.solves);
+  }
+}
+
 }  // namespace
 }  // namespace pmemflow::service

@@ -138,7 +138,6 @@ int main() {
   // Table II audit.
   std::printf("\n## Table II: recommendations vs empirical best "
               "(`table2_recommendations`)\n\n");
-  core::AutoTuner tuner;
   std::printf("| Workflow | Features (simC/simW/anaC/anaR, size, conc) | "
               "Best | Rule-based | Model-based |\n");
   std::printf("|---|---|---|---|---|\n");
@@ -147,7 +146,7 @@ int main() {
   double worst_rule = 1.0;
   double worst_model = 1.0;
   for (const auto& spec : workloads::full_suite()) {
-    auto report = tuner.tune(spec);
+    auto report = core::tune(executor, spec);
     if (!report.has_value()) return 1;
     const auto& f = report->profile.features;
     std::printf("| %s | %s/%s/%s/%s, %s, %s | %s | %s (%.2fx) | %s "
