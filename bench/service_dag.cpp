@@ -1,6 +1,6 @@
 // DAG-subsystem acceptance gate (service-subsystem extension).
 //
-// Enforces the three contracts the general-DAG work is built on:
+// Enforces the two contracts the general-DAG work is built on:
 //
 //   1. Fusion wins — on a fan-out-heavy mix, kDagFusion co-locates
 //      producer→consumer stages (ephemeral edges > 0) and beats plain
@@ -10,9 +10,6 @@
 //      two-component chain DAG schedules identically to the same class
 //      submitted through the classic pair path (same nodes, same
 //      starts, same finishes), under kLeastLoaded.
-//   3. Sharded determinism — the same DAG-bearing stream replayed with
-//      1, 2, and 4 worker threads over 4 fleet regions produces
-//      byte-identical completion records.
 //
 // Appends a "service_dag" section to BENCH_service.json (shared with
 // the other service benches) for the CI artifact.
@@ -279,45 +276,6 @@ int main(int argc, char** argv) {
     gates.push_back({"pair-equals-2-node-dag", pass, detail});
   }
 
-  // Gate 3: the DAG-bearing stream replays byte-identically across
-  // 1/2/4 worker threads (4 epoch-synchronized regions).
-  bool sharded_identical = false;
-  {
-    bool pass = true;
-    std::string detail;
-    std::vector<std::vector<service::CompletionRecord>> runs;
-    for (const std::uint32_t threads : {1u, 2u, 4u}) {
-      service::ServiceConfig config;
-      config.nodes = 4;
-      config.queue_capacity = mixed.size();
-      config.defer_watermark = 1.0;
-      config.policy = service::PlacementPolicy::kDagFusion;
-      config.sharding.regions = 4;
-      config.sharding.threads = threads;
-      service::OnlineScheduler scheduler(config);
-      auto result = scheduler.run(mixed);
-      if (!result.has_value()) {
-        pass = false;
-        detail = result.error().message;
-        break;
-      }
-      runs.push_back(std::move(result->completions));
-    }
-    for (std::size_t r = 1; pass && r < runs.size(); ++r) {
-      if (!identical_schedules(runs[0], runs[r], &detail)) {
-        pass = false;
-        detail = format("%u threads: %s", r == 1 ? 2u : 4u,
-                        detail.c_str());
-      }
-    }
-    if (pass) {
-      detail = format("%zu completions identical across 1/2/4 threads",
-                      runs[0].size());
-    }
-    sharded_identical = pass;
-    gates.push_back({"sharded-replay-identical", pass, detail});
-  }
-
   bool all_pass = true;
   for (const auto& gate : gates) {
     std::cout << format("%-26s %s  %s\n", gate.name,
@@ -339,8 +297,7 @@ int main(int argc, char** argv) {
        {"fusion_speedup",
         fusion_makespan_s > 0.0 ? baseline_makespan_s / fusion_makespan_s
                                 : 0.0},
-       {"pair_dag_identical", pair_identical ? 1.0 : 0.0},
-       {"sharded_identical", sharded_identical ? 1.0 : 0.0}});
+       {"pair_dag_identical", pair_identical ? 1.0 : 0.0}});
   if (!json.write()) {
     std::cerr << "error: could not write " << json_path << "\n";
     return 1;

@@ -13,27 +13,39 @@ const char* to_string(BatchPolicy policy) noexcept {
   return "?";
 }
 
-Expected<DeploymentConfig> BatchScheduler::pick_config(
+Expected<ConfigResult> BatchScheduler::pick_config(
     const workflow::WorkflowSpec& spec, BatchPolicy policy) const {
   switch (policy) {
     case BatchPolicy::kFixedSLocW:
-      return DeploymentConfig{ExecutionMode::kSerial,
-                              Placement::kLocalWrite};
+      return executor_.execute(
+          spec, {ExecutionMode::kSerial, Placement::kLocalWrite});
     case BatchPolicy::kFixedPLocR:
-      return DeploymentConfig{ExecutionMode::kParallel,
-                              Placement::kLocalRead};
+      return executor_.execute(
+          spec, {ExecutionMode::kParallel, Placement::kLocalRead});
     case BatchPolicy::kRuleBased:
     case BatchPolicy::kModelBased: {
-      auto profile = characterize(executor_, spec);
-      if (!profile.has_value()) return Unexpected{profile.error()};
-      return policy == BatchPolicy::kRuleBased
-                 ? recommender_.rule_based(*profile, spec).config
-                 : recommender_.model_based(*profile, spec).config;
+      // characterize(), unrolled so a serial pick reuses its run.
+      auto serial_locw = executor_.execute(
+          spec, {ExecutionMode::kSerial, Placement::kLocalWrite});
+      if (!serial_locw.has_value()) return Unexpected{serial_locw.error()};
+      auto serial_locr = executor_.execute(
+          spec, {ExecutionMode::kSerial, Placement::kLocalRead});
+      if (!serial_locr.has_value()) return Unexpected{serial_locr.error()};
+      const WorkflowProfile profile = profile_from(
+          spec, *serial_locw, *serial_locr,
+          executor_.runner().devices().primary().small_access_threshold());
+      const DeploymentConfig config =
+          policy == BatchPolicy::kRuleBased
+              ? recommender_.rule_based(profile, spec).config
+              : recommender_.model_based(profile, spec).config;
+      if (config == serial_locw->config) return serial_locw;
+      if (config == serial_locr->config) return serial_locr;
+      return executor_.execute(spec, config);
     }
     case BatchPolicy::kOracle: {
       auto sweep = executor_.sweep(spec);
       if (!sweep.has_value()) return Unexpected{sweep.error()};
-      return sweep->best().config;
+      return sweep->best();
     }
   }
   return make_error("unknown batch policy");
@@ -46,14 +58,12 @@ Expected<BatchResult> BatchScheduler::schedule(
   result.policy = policy;
   SimTime clock = 0;
   for (const auto& spec : batch) {
-    auto config = pick_config(spec, policy);
-    if (!config.has_value()) return Unexpected{config.error()};
-    auto run = executor_.execute(spec, *config);
+    auto run = pick_config(spec, policy);
     if (!run.has_value()) return Unexpected{run.error()};
 
     ScheduledItem item;
     item.label = spec.label;
-    item.config = *config;
+    item.config = run->config;
     item.start_ns = clock;
     item.runtime_ns = run->run.total_ns;
     clock += item.runtime_ns;

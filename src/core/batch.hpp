@@ -72,8 +72,15 @@ class BatchScheduler {
   [[nodiscard]] Expected<std::vector<BatchResult>> compare(
       std::span<const workflow::WorkflowSpec> batch) const;
 
+  [[nodiscard]] const Executor& executor() const noexcept {
+    return executor_;
+  }
+
  private:
-  [[nodiscard]] Expected<DeploymentConfig> pick_config(
+  /// Picks `spec`'s configuration under `policy` and returns its run.
+  /// A run the pick already made (the oracle's sweep, the recommenders'
+  /// two serial characterization runs) is reused, never repeated.
+  [[nodiscard]] Expected<ConfigResult> pick_config(
       const workflow::WorkflowSpec& spec, BatchPolicy policy) const;
 
   Executor executor_;

@@ -26,8 +26,7 @@
 // fresh instance, whose first allocate() is always a pure solve.
 //
 // All memoization state — the solve cache and the hit/solve counters —
-// is per-instance. Two engines running concurrently (e.g. two fleet
-// regions advancing on separate threads) never share or cross-pollinate
+// is per-instance. Two allocators never share or cross-pollinate
 // allocator state.
 #pragma once
 
@@ -52,7 +51,7 @@ struct AllocationReport {
 /// Purely observational — they never feed back into simulated time —
 /// so benches can snapshot them around a run to report the allocator
 /// hit-rate and solve cost of the hot path. Layers that own several
-/// allocators (devices, runners, regions) sum them with operator+=.
+/// allocators (devices, runners, caches) sum them with operator+=.
 struct AllocatorCounters {
   std::uint64_t allocate_calls = 0;
   std::uint64_t cache_hits = 0;

@@ -113,16 +113,6 @@ SimTime Fleet::earliest_free_ns() const noexcept {
   return earliest;
 }
 
-bool Fleet::has_idle_node(SimTime now) const {
-  // A node is dispatchable only once every slot's finish event has
-  // actually fired (running cleared — the index membership criterion):
-  // an arrival landing at exactly free_at_ns must wait for the
-  // same-timestamp completion callback. Index members may still be
-  // draining a checkpoint, hence the node_free_at filter.
-  return std::any_of(idle_by_index_.begin(), idle_by_index_.end(),
-                     [&](std::uint32_t i) { return node_free_at(i, now); });
-}
-
 void Fleet::idle_nodes(SimTime now, std::vector<std::uint32_t>& out) const {
   out.clear();
   for (std::uint32_t i : idle_by_index_) {

@@ -190,11 +190,6 @@ class Fleet {
   /// preemption decision rule.
   [[nodiscard]] SimTime earliest_free_ns() const noexcept;
 
-  /// True when some node is *fully* idle at `now` (every slot free).
-  /// A slot whose finish event has reached its timestamp but not yet
-  /// fired (running task still attached) does not count as free.
-  [[nodiscard]] bool has_idle_node(SimTime now) const;
-
   /// Fills `out` with every node fully idle at `now`, ascending node
   /// index. Served from the idle index: only task-free nodes are
   /// visited, draining ones are filtered on the way out.

@@ -151,10 +151,6 @@ void print_service_report(std::ostream& out, const std::string& title,
               static_cast<unsigned long long>(metrics.allocator.cache_hits),
               static_cast<unsigned long long>(
                   metrics.allocator.allocate_calls))});
-  table.add_row({"regions", format("%u", metrics.regions)});
-  table.add_row({"shard migrations",
-                 format("%llu", static_cast<unsigned long long>(
-                                    metrics.shard_migrations))});
   table.add_row({"dag completed",
                  format("%llu", static_cast<unsigned long long>(
                                     metrics.dag_completed))});
@@ -195,8 +191,6 @@ std::vector<std::string> service_csv_header() {
           "stage_hits",
           "residency_high_water",
           "rate_solves",
-          "regions",
-          "shard_migrations",
           "dag_completed",
           "ephemeral_edges",
           "planner_window",
@@ -236,9 +230,6 @@ void append_service_csv_row(CsvWriter& csv, const std::string& run_label,
        format("%llu",
               static_cast<unsigned long long>(metrics.residency_high_water)),
        format("%llu", static_cast<unsigned long long>(metrics.rate_solves())),
-       format("%u", metrics.regions),
-       format("%llu",
-              static_cast<unsigned long long>(metrics.shard_migrations)),
        format("%llu", static_cast<unsigned long long>(metrics.dag_completed)),
        format("%llu",
               static_cast<unsigned long long>(metrics.ephemeral_edges)),

@@ -101,8 +101,8 @@ struct ServiceMetrics {
   std::vector<double> node_utilization;
   double mean_utilization = 0.0;
   QueueStats admission;
-  /// Profile-cache lookups this run performed: the delta of each
-  /// region's cumulative cache stats across the run, like `allocator`.
+  /// Profile-cache lookups this run performed: the delta of the
+  /// cache's cumulative stats across the run, like `allocator`.
   CacheStats cache;
   /// Deferred/rejected submissions automatically resubmitted by the
   /// service.
@@ -138,19 +138,14 @@ struct ServiceMetrics {
   Bytes residency_high_water = 0;
   /// Discrete events the service run loop processed (arrivals, retries,
   /// dispatch completions, preemption timers). The perf gate divides
-  /// this by wall time to get events/sec. Sharded runs sum the
-  /// per-region loops in region-index order.
+  /// this by wall time to get events/sec.
   std::uint64_t des_events = 0;
   /// Rate-allocator work this run performed (characterizations and
   /// interference measurements), as the delta of the per-allocator
-  /// counters across the run — summed per region in region-index order
-  /// when sharded. allocator.hit_rate() is the share of allocations
-  /// the memoized solves answered without a fixed-point solve.
+  /// counters across the run. allocator.hit_rate() is the share of
+  /// allocations the memoized solves answered without a fixed-point
+  /// solve.
   pmemsim::AllocatorCounters allocator;
-  /// Fleet regions the run was sharded into (1 = classic unsharded).
-  std::uint32_t regions = 1;
-  /// Queued submissions migrated across regions at epoch barriers.
-  std::uint64_t shard_migrations = 0;
   /// Completed submissions that were general DAGs.
   std::uint64_t dag_completed = 0;
   /// Producer→consumer stage pairs fused onto one socket, summed over
@@ -160,7 +155,7 @@ struct ServiceMetrics {
   /// greedy one-submission-at-a-time).
   std::uint32_t planner_window = 1;
   /// Planner invocations this run (each plans up to planner_window
-  /// steps), summed per region when sharded.
+  /// steps).
   std::uint64_t plans = 0;
 
   /// Bandwidth-share solves the run's characterizations performed

@@ -1,10 +1,10 @@
 // The placement planner: candidate generation, policy scoring, and
 // bounded lookahead over a window of queued submissions.
 //
-// Placement used to live inside Region as five per-policy chooser
-// methods that enumerated nodes, scored them, and leaked partial
-// decisions into the dispatch path. The planner splits that into the
-// three stages the rest of the service composes:
+// Placement used to live inside the scheduler as five per-policy
+// chooser methods that enumerated nodes, scored them, and leaked
+// partial decisions into the dispatch path. The planner splits that
+// into the three stages the rest of the service composes:
 //
 //   1. candidate generation — a policy-neutral enumerator over idle
 //      nodes, sockets (capacity spill), co-location pairings, and
@@ -20,7 +20,7 @@
 //      device-aware runtime estimates in the ProfileCache and the
 //      measured InterferenceTable slowdowns. Lower wins; ties resolve
 //      by node index, so selection is deterministic.
-//   3. commit — the planner never mutates the Fleet. Region::dispatch
+//   3. commit — the planner never mutates the Fleet. Replay::dispatch
 //      commits the returned steps one at a time (the only code path
 //      that starts work, charges leases, or evicts), and preemption
 //      goes through the same commit surface.
@@ -110,7 +110,7 @@ struct Plan {
 };
 
 /// What the planner needs from its owner to resolve profiles and
-/// interference: Region implements this over its per-region
+/// interference: Replay implements this over the scheduler's
 /// ProfileCache/InterferenceTable (heterogeneous lookups keyed by the
 /// node's backend). `cache_hit` reports whether the lookup was served
 /// from the cache — observable in completion records and metrics, so
@@ -138,7 +138,7 @@ class PlanResolver {
       std::uint32_t node) = 0;
 };
 
-/// Stateless across plans: a region builds one per run and counts the
+/// Stateless across plans: a Replay builds one per run and counts the
 /// plans it asks for.
 class Planner {
  public:

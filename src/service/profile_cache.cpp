@@ -141,8 +141,9 @@ Expected<CachedDagProfile> ProfileCache::characterize_dag_on(
     const dag::DagSpec& spec, const devices::NodeDevices& backend,
     std::uint64_t device_fp) const {
   // Invalid specs are hard errors; a *valid* DAG that no socket
-  // assignment fits is a placement outcome the region handles (graceful
-  // drop), so plan errors past validation mean "infeasible here".
+  // assignment fits is a placement outcome the scheduler handles
+  // (graceful drop), so plan errors past validation mean "infeasible
+  // here".
   if (auto status = dag::validate(spec); !status) {
     return Unexpected{status.error()};
   }

@@ -63,7 +63,7 @@ struct CachedProfile {
 /// measured runtimes, plus the byte/object volume the lease sizing
 /// needs. A plan can be infeasible on this node shape (per-socket core
 /// demand too high); an unplaceable class (neither plan fits) is still
-/// cached so the region can drop repeats without re-planning.
+/// cached so the scheduler can drop repeats without re-planning.
 struct CachedDagProfile {
   /// DAG-class half of the cache key (dag::class_fingerprint).
   std::uint64_t fingerprint = 0;
@@ -109,13 +109,6 @@ struct CacheStats {
     return total == 0 ? 0.0
                       : static_cast<double>(hits) /
                             static_cast<double>(total);
-  }
-
-  CacheStats& operator+=(const CacheStats& other) noexcept {
-    hits += other.hits;
-    misses += other.misses;
-    evictions += other.evictions;
-    return *this;
   }
 
   /// Delta of two snapshots of the same monotonic stats (`a` taken

@@ -6,7 +6,7 @@
 
 #include "common/assert.hpp"
 #include "common/strings.hpp"
-#include "service/region.hpp"
+#include "service/replay.hpp"
 
 namespace pmemflow::service {
 
@@ -23,22 +23,8 @@ std::size_t config_index(const core::DeploymentConfig& config) {
 OnlineScheduler::OnlineScheduler(ServiceConfig config, core::Executor executor,
                                  core::Recommender recommender)
     : config_(std::move(config)),
-      runner_proto_(executor.runner()),
-      recommender_(recommender),
       interference_(executor.runner()),
       cache_(config_.cache_capacity, std::move(executor), recommender) {}
-
-void OnlineScheduler::ensure_region_caches(std::uint32_t regions) {
-  while (extra_caches_.size() + 1 < regions) {
-    auto interference = std::make_unique<InterferenceTable>(
-        workflow::Runner(runner_proto_));
-    auto cache = std::make_unique<ProfileCache>(
-        config_.cache_capacity, core::Executor(workflow::Runner(runner_proto_)),
-        recommender_);
-    extra_caches_.push_back(std::move(cache));
-    extra_interference_.push_back(std::move(interference));
-  }
-}
 
 Expected<ServiceResult> OnlineScheduler::run(
     std::span<const Submission> submissions) {
@@ -52,45 +38,22 @@ Expected<ServiceResult> OnlineScheduler::run(
                "(must be empty or exactly one per node)",
                config_.node_specs.size(), config_.nodes));
   }
-
-  // Region count is a semantic knob clamped to the fleet size; the
-  // worker-thread count is a pure performance knob on top of it.
-  const std::uint32_t region_count = std::min(
-      std::max<std::uint32_t>(1, config_.sharding.regions), config_.nodes);
-  ensure_region_caches(region_count);
-
-  std::vector<std::unique_ptr<Region>> regions;
-  regions.reserve(region_count);
-  for (std::uint32_t r = 0; r < region_count; ++r) {
-    ProfileCache& cache = r == 0 ? cache_ : *extra_caches_[r - 1];
-    InterferenceTable& interference =
-        r == 0 ? interference_ : *extra_interference_[r - 1];
-    regions.push_back(std::make_unique<Region>(
-        config_, cache, interference, r,
-        region_node_base(config_.nodes, region_count, r),
-        region_node_count(config_.nodes, region_count, r)));
+  if (config_.sharding.regions > 1 || config_.sharding.threads > 1) {
+    return make_error(
+        format("fleet sharding was removed: sharding.regions (%u) and "
+               "sharding.threads (%u) must be 1",
+               config_.sharding.regions, config_.sharding.threads));
   }
 
-  // Cache stats and allocator counters are cumulative per cache (they
-  // survive across runs); this run's share is the before/after delta,
-  // summed in region-index order.
-  auto region_cache = [&](std::uint32_t r) -> const ProfileCache& {
-    return r == 0 ? cache_ : *extra_caches_[r - 1];
-  };
-  auto region_allocator_counters =
-      [&](std::uint32_t r) -> pmemsim::AllocatorCounters {
-    const InterferenceTable& interference =
-        r == 0 ? interference_ : *extra_interference_[r - 1];
-    pmemsim::AllocatorCounters total = region_cache(r).allocator_counters();
-    total += interference.allocator_counters();
+  // Cache stats and allocator counters are cumulative (they survive
+  // across runs); this run's share is the before/after delta.
+  auto allocator_counters = [&] {
+    pmemsim::AllocatorCounters total = cache_.allocator_counters();
+    total += interference_.allocator_counters();
     return total;
   };
-  std::vector<CacheStats> cache_before(region_count);
-  std::vector<pmemsim::AllocatorCounters> counters_before(region_count);
-  for (std::uint32_t r = 0; r < region_count; ++r) {
-    cache_before[r] = region_cache(r).stats();
-    counters_before[r] = region_allocator_counters(r);
-  }
+  const CacheStats cache_before = cache_.stats();
+  const pmemsim::AllocatorCounters counters_before = allocator_counters();
 
   std::vector<Submission> ordered(submissions.begin(), submissions.end());
   std::stable_sort(ordered.begin(), ordered.end(),
@@ -101,121 +64,42 @@ Expected<ServiceResult> OnlineScheduler::run(
                      return a.id < b.id;
                    });
 
-  // Route by a stable hash of the id (all to region 0 when unsharded):
-  // the split depends only on each submission, never on stream order.
-  std::vector<std::vector<Submission>> routed(region_count);
-  for (Submission& submission : ordered) {
-    routed[region_of(submission.id, region_count)].push_back(
-        std::move(submission));
-  }
-  for (std::uint32_t r = 0; r < region_count; ++r) {
-    regions[r]->seed(std::move(routed[r]));
-  }
+  Replay replay(config_, cache_, interference_);
+  replay.seed(std::move(ordered));
+  replay.run_to_completion();
+  if (replay.failure().has_value()) return Unexpected{*replay.failure()};
+  PMEMFLOW_ASSERT_MSG(replay.checkpoints_empty(),
+                      "checkpointed victim never resumed");
 
-  EpochRunStats epoch_stats;
-  if (region_count == 1) {
-    regions[0]->run_to_completion();
-  } else {
-    // The Tracer sink is not thread-safe; a traced sharded run keeps
-    // its schedule (regions are the semantic knob) but runs the
-    // regions on one thread.
-    const std::uint32_t threads =
-        config_.tracer != nullptr ? 1 : config_.sharding.threads;
-    epoch_stats = run_epochs(regions, config_.sharding.epoch_ns, threads);
-  }
-
-  for (const auto& region : regions) {
-    if (region->failure().has_value()) {
-      return Unexpected{*region->failure()};
-    }
-  }
-  if (epoch_stats.failure.has_value()) {
-    return Unexpected{*epoch_stats.failure};
-  }
-  for (const auto& region : regions) {
-    PMEMFLOW_ASSERT_MSG(region->checkpoints_empty(),
-                        "checkpointed victim never resumed");
-  }
-
-  // -- Deterministic merge, region-index order throughout. --
   ServiceResult result;
-  if (region_count == 1) {
-    result.completions = regions[0]->take_completions();
-  } else {
-    for (const auto& region : regions) {
-      auto records = region->take_completions();
-      result.completions.insert(result.completions.end(),
-                                std::make_move_iterator(records.begin()),
-                                std::make_move_iterator(records.end()));
-    }
-    // Global completion order; (finish, id) is a total order because
-    // ids are unique, so the merged stream is schedule-determined.
-    std::stable_sort(result.completions.begin(), result.completions.end(),
-                     [](const CompletionRecord& a, const CompletionRecord& b) {
-                       if (a.finish_ns != b.finish_ns) {
-                         return a.finish_ns < b.finish_ns;
-                       }
-                       return a.id < b.id;
-                     });
-  }
-
+  result.completions = replay.take_completions();
   SimDuration makespan = 0;
   for (const CompletionRecord& record : result.completions) {
     makespan = std::max(makespan, record.finish_ns);
   }
 
-  // Node utilization lines up with global node indices because regions
-  // own contiguous slices in index order; every node is normalized by
-  // the global makespan.
+  // Every node is normalized by the fleet makespan.
+  const Fleet& fleet = replay.fleet();
   std::vector<double> utilization;
-  utilization.reserve(config_.nodes);
-  QueueStats admission;
-  CacheStats cache_stats;
-  std::uint64_t retries = 0, dropped = 0, colocations = 0, stage_hits = 0;
-  std::uint64_t des_events = 0, evictions = 0;
-  std::uint64_t plans = 0;
-  Bytes gc_bytes = 0, residency_high_water = 0;
-  std::int64_t interference_delta_ns = 0;
-  pmemsim::AllocatorCounters allocator;
-  for (std::uint32_t r = 0; r < region_count; ++r) {
-    const Region& region = *regions[r];
-    for (std::uint32_t i = 0; i < region.fleet().size(); ++i) {
-      utilization.push_back(region.fleet().utilization(i, makespan));
-    }
-    const QueueStats& queue = region.queue().stats();
-    admission.admitted += queue.admitted;
-    admission.deferred += queue.deferred;
-    admission.rejected += queue.rejected;
-    admission.high_water = std::max(admission.high_water, queue.high_water);
-    cache_stats += region_cache(r).stats() - cache_before[r];
-    retries += region.retries();
-    plans += region.plans();
-    dropped += region.dropped();
-    colocations += region.colocations();
-    stage_hits += region.stage_hits();
-    des_events += region.des_events();
-    interference_delta_ns += region.interference_delta_ns();
-    const capacity::ResidencyTracker& residency = region.fleet().residency();
-    evictions += residency.stats().evictions;
-    gc_bytes += residency.stats().gc_bytes;
-    residency_high_water =
-        std::max(residency_high_water, residency.residency_high_water());
-    allocator += region_allocator_counters(r) - counters_before[r];
+  utilization.reserve(fleet.size());
+  for (std::uint32_t i = 0; i < fleet.size(); ++i) {
+    utilization.push_back(fleet.utilization(i, makespan));
   }
+  const capacity::ResidencyTracker& residency = fleet.residency();
 
   result.metrics = aggregate_metrics(
-      result.completions, makespan, utilization, admission, cache_stats,
-      retries, dropped, colocations,
+      result.completions, makespan, utilization, replay.queue().stats(),
+      cache_.stats() - cache_before, replay.retries(), replay.dropped(),
+      replay.colocations(),
       static_cast<SimDuration>(
-          std::max<std::int64_t>(0, interference_delta_ns)),
-      evictions, gc_bytes, stage_hits, residency_high_water);
-  result.metrics.des_events = des_events;
-  result.metrics.allocator = allocator;
-  result.metrics.regions = region_count;
-  result.metrics.shard_migrations = epoch_stats.shard_migrations;
+          std::max<std::int64_t>(0, replay.interference_delta_ns())),
+      residency.stats().evictions, residency.stats().gc_bytes,
+      replay.stage_hits(), residency.residency_high_water());
+  result.metrics.des_events = replay.des_events();
+  result.metrics.allocator = allocator_counters() - counters_before;
   result.metrics.planner_window = std::max<std::uint32_t>(
       1, config_.planner.window);
-  result.metrics.plans = plans;
+  result.metrics.plans = replay.plans();
   return result;
 }
 

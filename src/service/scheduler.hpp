@@ -41,8 +41,6 @@
 #include <span>
 #include <vector>
 
-#include <memory>
-
 #include "capacity/residency.hpp"
 #include "core/batch.hpp"
 #include "service/colocation.hpp"
@@ -50,12 +48,21 @@
 #include "service/metrics.hpp"
 #include "service/planner.hpp"
 #include "service/profile_cache.hpp"
-#include "service/sharding.hpp"
 #include "service/submission_queue.hpp"
 #include "service/types.hpp"
 #include "trace/tracer.hpp"
 
 namespace pmemflow::service {
+
+/// Retired fleet-sharding knobs: the scheduler runs one event loop on
+/// one thread, and run() returns an error when either field is above 1.
+/// The struct exists only for the two lines of the repository
+/// benchmark (perfbench/workloads.cpp) that still assign both fields
+/// 1; it is deleted by the benchmark change that drops those lines.
+struct ShardingConfig {
+  std::uint32_t regions = 1;
+  std::uint32_t threads = 1;
+};
 
 struct ServiceConfig {
   /// Fleet size (dual-socket nodes).
@@ -100,11 +107,7 @@ struct ServiceConfig {
   /// the model. A NodeSpec whose DeviceSpec carries its own `capacity`
   /// overrides pmem_per_socket for that node's sockets.
   capacity::ResidencyParams capacity;
-  /// Fleet sharding: regions > 1 splits the fleet into epoch-
-  /// synchronized sub-schedulers (service/sharding.hpp). `regions` is
-  /// clamped to the node count; `threads` scales the replay across
-  /// cores without changing the schedule. Forced single-threaded when
-  /// a tracer is attached (the Tracer sink is not thread-safe).
+  /// Must stay {1, 1} (see ShardingConfig).
   ShardingConfig sharding;
   /// Placement planner: lookahead window size (service/planner.hpp).
   /// The default, window 1, reproduces the classic greedy
@@ -144,28 +147,12 @@ class OnlineScheduler {
   }
 
  private:
-  /// Lazily builds the per-region ProfileCache/InterferenceTable pairs
-  /// for regions 1..R-1 (region 0 borrows the primary pair). Extra
-  /// pairs persist across run() calls, exactly like the primary.
-  void ensure_region_caches(std::uint32_t regions);
-
   ServiceConfig config_;
-  /// Prototype for the extra per-region caches' executors and
-  /// measurement runners: the same platform/devices the primary pair
-  /// was built on. Runner construction is configuration-only (cheap).
-  workflow::Runner runner_proto_;
-  core::Recommender recommender_;
   /// Declared before cache_: initialized from the executor's runner
   /// before the executor moves into the cache. Memoized pairwise
   /// slowdowns persist across run() calls, like the profile cache.
   InterferenceTable interference_;
   ProfileCache cache_;
-  /// Region r > 0 owns extra_caches_[r-1] / extra_interference_[r-1]:
-  /// regions never share a mutable cache, so worker threads touch
-  /// disjoint state between epoch barriers (unique_ptr keeps them
-  /// stable across the vector growing when `sharding.regions` does).
-  std::vector<std::unique_ptr<ProfileCache>> extra_caches_;
-  std::vector<std::unique_ptr<InterferenceTable>> extra_interference_;
 };
 
 /// Position of `config` in Table I order (core::all_configs()).

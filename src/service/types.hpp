@@ -41,8 +41,8 @@ struct Submission {
   /// General DAG workflow (src/dag). Null for the classic pair case;
   /// when set, `spec` is ignored and the submission is characterized,
   /// placed, and priced through the DAG profile path (plan_spread /
-  /// plan_fusion). Shared so retries, checkpoints, and sharded-region
-  /// migrations carry the spec without copying it.
+  /// plan_fusion). Shared so retries and checkpoints carry the spec
+  /// without copying it.
   std::shared_ptr<const dag::DagSpec> dag;
   SimTime arrival_ns = 0;
   Priority priority = Priority::kNormal;

@@ -145,6 +145,51 @@ TEST(BatchScheduler, ErrorsPropagate) {
   EXPECT_FALSE(scheduler.schedule(batch, BatchPolicy::kOracle).has_value());
 }
 
+void expect_same_counters(const Executor& counted, const Executor& expected) {
+  const auto& got = counted.runner().allocator_counters();
+  const auto& want = expected.runner().allocator_counters();
+  EXPECT_GT(want.allocate_calls, 0u);
+  EXPECT_EQ(got.allocate_calls, want.allocate_calls);
+  EXPECT_EQ(got.cache_hits, want.cache_hits);
+  EXPECT_EQ(got.solves, want.solves);
+}
+
+TEST(BatchScheduler, OracleItemRunsOnlyTheSweep) {
+  // The oracle's pick comes with its run: scheduling a one-item batch
+  // adds exactly the allocator work of one sweep.
+  const std::vector<workflow::WorkflowSpec> batch{
+      workloads::make_workflow(workloads::Family::kGtcMatrixMult, 16)};
+  const BatchScheduler scheduler;
+  ASSERT_TRUE(scheduler.schedule(batch, BatchPolicy::kOracle).has_value());
+  const Executor swept;
+  ASSERT_TRUE(swept.sweep(batch.front()).has_value());
+  expect_same_counters(scheduler.executor(), swept);
+}
+
+TEST(BatchScheduler, RecommendedItemReusesItsSerialRun) {
+  // Rule/model picks run S-LocW and S-LocR once to characterize; a
+  // serial pick reuses that run, a parallel pick adds only its own.
+  for (const BatchPolicy policy :
+       {BatchPolicy::kRuleBased, BatchPolicy::kModelBased}) {
+    for (const auto& spec : small_batch()) {
+      const std::vector<workflow::WorkflowSpec> batch{spec};
+      const BatchScheduler scheduler;
+      auto result = scheduler.schedule(batch, policy);
+      ASSERT_TRUE(result.has_value());
+      const Executor expected;
+      ASSERT_TRUE(characterize(expected, spec).has_value());
+      const DeploymentConfig picked = result->items.front().config;
+      if (picked.mode == ExecutionMode::kParallel) {
+        ASSERT_TRUE(expected.execute(spec, picked).has_value());
+      }
+      SCOPED_TRACE(::testing::Message()
+                   << to_string(policy) << " " << spec.label << " "
+                   << picked.label());
+      expect_same_counters(scheduler.executor(), expected);
+    }
+  }
+}
+
 TEST(BatchPolicyNames, AllDistinct) {
   EXPECT_STREQ(to_string(BatchPolicy::kFixedSLocW), "fixed-S-LocW");
   EXPECT_STREQ(to_string(BatchPolicy::kFixedPLocR), "fixed-P-LocR");

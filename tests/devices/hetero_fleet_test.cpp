@@ -210,58 +210,6 @@ TEST(HeteroFleet, MixedFleetRepaysByteIdentically) {
   }
 }
 
-/// A mixed fleet of all four backends split into regions that worker
-/// threads run concurrently: every region keys its own cache by the
-/// shared node specs' stored fingerprints, and the thread count must
-/// not move a completion or a cache counter.
-TEST(HeteroFleet, ShardedMixedFleetIsThreadCountInvariant) {
-  ArrivalParams params;
-  params.count = 240;
-  params.classes = 6;
-  params.mean_interarrival_ns = 10.0e6;
-  params.seed = 31;
-  const auto stream = *make_submission_stream(params);
-
-  ServiceConfig config;
-  config.nodes = 8;
-  const char* const backends[] = {"optane-gen1", "dram-like", "cxl-like",
-                                  "optane-gen2"};
-  for (std::uint32_t i = 0; i < config.nodes; ++i) {
-    const char* name = backends[i % 4];
-    config.node_specs.push_back(
-        NodeSpec{name, devices::NodeDevices(preset_spec(name))});
-  }
-  config.policy = PlacementPolicy::kRecommenderAware;
-  config.sharding.regions = 4;
-
-  config.sharding.threads = 1;
-  auto one = OnlineScheduler(config).run(stream);
-  config.sharding.threads = 4;
-  auto four = OnlineScheduler(config).run(stream);
-  ASSERT_TRUE(one.has_value()) << one.error().message;
-  ASSERT_TRUE(four.has_value()) << four.error().message;
-  EXPECT_EQ(one->metrics.regions, 4u);
-
-  ASSERT_EQ(one->completions.size(), four->completions.size());
-  ASSERT_FALSE(one->completions.empty());
-  for (std::size_t i = 0; i < one->completions.size(); ++i) {
-    EXPECT_TRUE(identical_records(one->completions[i], four->completions[i]))
-        << "record " << i;
-  }
-  EXPECT_EQ(one->metrics.completed, four->metrics.completed);
-  EXPECT_EQ(one->metrics.dropped, four->metrics.dropped);
-  EXPECT_EQ(one->metrics.makespan_ns, four->metrics.makespan_ns);
-  EXPECT_EQ(one->metrics.cache.hits, four->metrics.cache.hits);
-  EXPECT_EQ(one->metrics.cache.misses, four->metrics.cache.misses);
-  EXPECT_EQ(one->metrics.cache.evictions, four->metrics.cache.evictions);
-  // Every backend served work: the regions really are heterogeneous.
-  std::vector<bool> used(config.nodes, false);
-  for (const auto& record : one->completions) used[record.node] = true;
-  for (std::uint32_t node = 0; node < config.nodes; ++node) {
-    EXPECT_TRUE(used[node]) << "node " << node;
-  }
-}
-
 /// Backend-aware routing: with one idle gen1 node and one idle
 /// locality-free node, kRecommenderAware sends each class to the
 /// backend where its recommended configuration runs fastest — so on a

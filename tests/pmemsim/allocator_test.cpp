@@ -390,9 +390,8 @@ TEST_F(AllocatorTest, MemoKeyDistinguishesOffDeviceCosts) {
 
 TEST_F(AllocatorTest, InstancesDoNotCrossPollinate) {
   // Two allocators (stand-ins for two engines running side by side)
-  // must keep independent memo caches and counters: the sharded
-  // scheduler relies on per-instance state for its regions to be
-  // advanceable on separate threads.
+  // must keep independent memo caches and counters: each cache and
+  // runner reports only the work its own allocators did.
   OptaneRateAllocator a(
       BandwidthModel(OptaneParams{}, interconnect::UpiModel{}));
   OptaneRateAllocator b(

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,9 +18,10 @@ namespace {
 
 // The golden scenarios and fingerprint below were captured by running
 // this exact block against the pre-planner commit (the last one with
-// the per-policy choosers inside Region); the pins in kGoldenPins are
-// that run's output. Keep the block byte-stable: re-recording pins is
-// only legitimate for a deliberate, documented schedule change.
+// the per-policy choosers inside the scheduler); the pins in
+// kGoldenPins are that run's output. Keep the block byte-stable:
+// re-recording pins is only legitimate for a deliberate, documented
+// schedule change.
 
 /// Schedule fingerprint: every placement-visible field of every
 /// completion record, in completion order, plus the drop count.
@@ -250,30 +250,12 @@ std::vector<Submission> golden_stream(const GoldenScenario& scenario) {
   return *stream;
 }
 
-std::uint64_t run_fingerprint(const ServiceConfig& config,
-                              const std::vector<Submission>& stream) {
-  OnlineScheduler scheduler(config);
-  auto result = scheduler.run(stream);
-  EXPECT_TRUE(result.has_value())
-      << (result.has_value() ? "" : result.error().message);
-  return result.has_value() ? schedule_fingerprint(*result) : 0;
-}
-
 GoldenScenario scenario_named(const std::string& name) {
   for (auto& scenario : golden_scenarios()) {
     if (name == scenario.name) return scenario;
   }
   ADD_FAILURE() << "no scenario named " << name;
   return GoldenScenario{"", ServiceConfig{}, ArrivalParams{}};
-}
-
-/// Scenarios covering every planner enumeration branch (plain,
-/// heterogeneous recommender routing, co-location packing, capacity
-/// tiering, whole-node DAG placement) for the cross-product tests that
-/// would be too slow over all eleven.
-std::vector<std::string> branch_scenarios() {
-  return {"least-loaded", "recommender-hetero", "colocation", "capacity",
-          "dag-fusion"};
 }
 
 TEST(PlannerGolden, WindowOneIsByteIdenticalToPreRefactorGreedy) {
@@ -286,29 +268,6 @@ TEST(PlannerGolden, WindowOneIsByteIdenticalToPreRefactorGreedy) {
         << scenario.name << ": planner window-1 schedule diverged from the "
         << "pre-refactor pin; actual fingerprint 0x" << std::hex
         << fingerprint;
-  }
-}
-
-TEST(PlannerWindows, ShardedWorkerCountNeverChangesTheSchedule) {
-  // For each lookahead window the 4-region sharded replay must be
-  // byte-identical across 1/2/4 worker threads: threads stay a pure
-  // performance knob with the planner in the loop.
-  for (const std::string& name : branch_scenarios()) {
-    const GoldenScenario scenario = scenario_named(name);
-    const auto stream = golden_stream(scenario);
-    for (std::uint32_t window : {1u, 4u, 16u}) {
-      std::optional<std::uint64_t> expected;
-      for (std::uint32_t threads : {1u, 2u, 4u}) {
-        ServiceConfig config = scenario.config;
-        config.planner.window = window;
-        config.sharding.regions = 4;
-        config.sharding.threads = threads;
-        const std::uint64_t fingerprint = run_fingerprint(config, stream);
-        if (!expected.has_value()) expected = fingerprint;
-        EXPECT_EQ(fingerprint, *expected)
-            << name << " window " << window << " threads " << threads;
-      }
-    }
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "service/arrivals.hpp"
 #include "trace/tracer.hpp"
@@ -279,28 +280,65 @@ TEST(OnlineScheduler, WarmRerunReportsOnlyItsOwnCacheLookups) {
   // that run's share, like its allocator counters: the warm rerun
   // looked up every submission once and characterized nothing.
   const auto stream = must_stream(small_stream_params());
-  for (const std::uint32_t regions : {1u, 2u}) {
-    ServiceConfig config;
-    config.nodes = 4;
-    config.queue_capacity = stream.size();
-    config.defer_watermark = 1.0;
-    config.sharding.regions = regions;
+  ServiceConfig config;
+  config.nodes = 4;
+  config.queue_capacity = stream.size();
+  config.defer_watermark = 1.0;
 
-    OnlineScheduler scheduler(config);
-    auto first = scheduler.run(stream);
-    ASSERT_TRUE(first.has_value());
-    EXPECT_EQ(first->metrics.cache.misses + first->metrics.cache.hits,
-              stream.size())
-        << regions;
-    EXPECT_GT(first->metrics.allocator.solves, 0u) << regions;
+  OnlineScheduler scheduler(config);
+  auto first = scheduler.run(stream);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->metrics.cache.misses + first->metrics.cache.hits,
+            stream.size());
+  EXPECT_GT(first->metrics.allocator.solves, 0u);
 
-    auto second = scheduler.run(stream);
-    ASSERT_TRUE(second.has_value());
-    EXPECT_EQ(second->metrics.cache.misses, 0u) << regions;
-    EXPECT_EQ(second->metrics.cache.hits, stream.size()) << regions;
-    EXPECT_EQ(second->metrics.cache.evictions, 0u) << regions;
-    EXPECT_EQ(second->metrics.allocator.solves, 0u) << regions;
+  auto second = scheduler.run(stream);
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->metrics.cache.misses, 0u);
+  EXPECT_EQ(second->metrics.cache.hits, stream.size());
+  EXPECT_EQ(second->metrics.cache.evictions, 0u);
+  EXPECT_EQ(second->metrics.allocator.solves, 0u);
+}
+
+TEST(OnlineScheduler, ShardingStubAcceptsOnlyOneRegionOnOneThread) {
+  // The retired sharding knobs at their only accepted values {1, 1}
+  // (the repository benchmark's) change nothing; a value above 1 is an
+  // error, not a request silently run on one event loop.
+  const auto stream = must_stream(small_stream_params());
+  ServiceConfig config;
+  config.nodes = 3;
+  config.queue_capacity = stream.size();
+  config.defer_watermark = 1.0;
+
+  auto reference = OnlineScheduler(config).run(stream);
+  ServiceConfig pinned = config;
+  pinned.sharding.regions = 1;
+  pinned.sharding.threads = 1;
+  auto stub = OnlineScheduler(pinned).run(stream);
+  ASSERT_TRUE(reference.has_value());
+  ASSERT_TRUE(stub.has_value());
+  ASSERT_FALSE(reference->completions.empty());
+  ASSERT_EQ(stub->completions.size(), reference->completions.size());
+  for (std::size_t i = 0; i < stub->completions.size(); ++i) {
+    EXPECT_TRUE(identical_records(stub->completions[i],
+                                  reference->completions[i]))
+        << "record " << i;
   }
+  EXPECT_EQ(stub->metrics.dropped, reference->metrics.dropped);
+
+  ServiceConfig regions = config;
+  regions.sharding.regions = 2;
+  auto rejected_regions = OnlineScheduler(regions).run(stream);
+  ASSERT_FALSE(rejected_regions.has_value());
+  EXPECT_NE(rejected_regions.error().message.find("sharding"),
+            std::string::npos);
+
+  ServiceConfig threads = config;
+  threads.sharding.threads = 4;
+  auto rejected_threads = OnlineScheduler(threads).run(stream);
+  ASSERT_FALSE(rejected_threads.has_value());
+  EXPECT_NE(rejected_threads.error().message.find("sharding"),
+            std::string::npos);
 }
 
 TEST(OnlineScheduler, TracerSpansBalance) {

@@ -94,15 +94,6 @@ int main(int argc, char** argv) {
   flags.add_bool("preemption", false,
                  "urgent arrivals may checkpoint running batch/normal work "
                  "off a node (checkpoint-restore preemption)");
-  flags.add_int("regions", 0,
-                "epoch-synchronized fleet regions (semantic knob, clamped to "
-                "--nodes; 0 = 1 region unless --shards asks for more)");
-  flags.add_int("shards", 1,
-                "worker threads advancing regions between epoch barriers "
-                "(pure performance knob: results are byte-identical for any "
-                "value)");
-  flags.add_double("epoch-ms", 250.0,
-                   "epoch barrier interval in simulated ms (with regions > 1)");
   flags.add_int("submissions", 2000, "number of submissions to generate");
   flags.add_int("classes", 12, "distinct workflow classes in the pool");
   flags.add_double("mean-gap-ms", 50.0,
@@ -241,14 +232,18 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Checked as signed values, before the casts: a negative count must
+  // not wrap to a huge unsigned one.
+  for (const char* name : {"nodes", "queue-capacity", "cache-capacity"}) {
+    if (flags.get_int(name) < 1) {
+      std::cerr << "error: --" << name << " must be >= 1\n";
+      return 1;
+    }
+  }
   service::ServiceConfig config;
   config.nodes = static_cast<std::uint32_t>(flags.get_int("nodes"));
   config.queue_capacity =
       static_cast<std::size_t>(flags.get_int("queue-capacity"));
-  if (config.nodes == 0 || config.queue_capacity == 0) {
-    std::cerr << "error: --nodes and --queue-capacity must be >= 1\n";
-    return 1;
-  }
   config.use_rule_based = flags.get_bool("rule-based");
   config.preemption = flags.get_bool("preemption")
                           ? service::PreemptionPolicy::kCheckpointRestore
@@ -274,23 +269,6 @@ int main(int argc, char** argv) {
       static_cast<Bytes>(flags.get_double("staging") * 1e9);
   config.capacity.retention.retain_versions =
       static_cast<std::uint32_t>(flags.get_int("retain-versions"));
-
-  // Sharding: --regions picks the (semantic) fleet split, --shards the
-  // worker threads. `--shards N` alone shards the fleet min(nodes, N)
-  // ways so the threads have regions to own.
-  if (flags.get_int("regions") < 0 || flags.get_int("shards") < 1 ||
-      flags.get_double("epoch-ms") <= 0.0) {
-    std::cerr << "error: --regions must be >= 0, --shards >= 1, "
-                 "--epoch-ms > 0\n";
-    return 1;
-  }
-  const auto shards = static_cast<std::uint32_t>(flags.get_int("shards"));
-  auto regions = static_cast<std::uint32_t>(flags.get_int("regions"));
-  if (regions == 0) regions = shards > 1 ? std::min(config.nodes, shards) : 1;
-  config.sharding.regions = regions;
-  config.sharding.threads = shards;
-  config.sharding.epoch_ns =
-      static_cast<SimDuration>(flags.get_double("epoch-ms") * 1e6);
 
   // Fleet memory backend(s). --backend sets the uniform fleet backend
   // (the scheduler executor's Runner); --node-backends builds a
