@@ -99,20 +99,21 @@ Expected<PairInterference> Replay::resolve_interference(
   return lookup_interference(a, spec_a, b, spec_b, node);
 }
 
-void Replay::seed(std::vector<Submission> submissions) {
-  for (Submission& submission : submissions) {
-    const SimTime at = submission.arrival_ns;
-    events_.schedule(
-        at, [this, submission = std::move(submission), at]() mutable {
-          arrive(std::move(submission), 0, at);
-        });
-  }
-}
-
-void Replay::run_to_completion() {
-  while (!failure_.has_value() && !events_.empty()) {
-    auto [time, callback] = events_.pop();
-    callback();
+void Replay::run(std::span<const Submission> stream,
+                 std::span<const std::uint32_t> order) {
+  stream_ = stream;
+  auto next = order.begin();
+  while (!failure_.has_value() && (next != order.end() || !events_.empty())) {
+    if (next != order.end() &&
+        (events_.empty() ||
+         stream[*next].arrival_ns <= events_.next_time())) {
+      arrive(*next, 0, stream[*next].arrival_ns);
+      ++next;
+    } else {
+      auto [time, callback] = events_.pop();
+      now_ = time;
+      callback();
+    }
     ++des_events_;
   }
 }
@@ -121,16 +122,16 @@ std::vector<CompletionRecord> Replay::take_completions() {
   return std::move(completions_);
 }
 
-void Replay::arrive(Submission submission, std::uint32_t attempt,
+void Replay::arrive(std::uint32_t index, std::uint32_t attempt,
                     SimTime now) {
   if (failure_.has_value()) return;
+  const Submission& submission = stream_[index];
   if (queue_.classify(submission.priority) == AdmissionVerdict::kAdmitted) {
-    queue_.submit(std::move(submission), 0);
+    queue_.submit(submission, 0);
     dispatch(now);
     return;
   }
-  // Only a turned-away submission needs the retry-after hint (a fleet
-  // scan) and a copy of itself to resubmit.
+  // Only a turned-away submission needs the retry-after hint (a fleet scan).
   const SimTime earliest_free = fleet_.earliest_free_ns();
   const SimDuration retry_after =
       std::max(earliest_free > now ? earliest_free - now : SimDuration{0},
@@ -150,10 +151,8 @@ void Replay::arrive(Submission submission, std::uint32_t attempt,
   // completed + dropped == submissions.
   if (attempt < config_.max_retries) {
     ++retries_;
-    const SimTime retry_at = now + decision.retry_after_ns;
-    events_.schedule(retry_at, [this, retry = std::move(submission), attempt,
-                                retry_at]() mutable {
-      arrive(std::move(retry), attempt + 1, retry_at);
+    events_.schedule(now + decision.retry_after_ns, [this, index, attempt] {
+      arrive(index, attempt + 1, now_);
     });
   } else {
     ++dropped_;

@@ -4,13 +4,15 @@
 // Replay holds everything OnlineScheduler::run() mutates while it
 // drains one stream — event queue, fleet, submission queue,
 // checkpoints, counters — and borrows the scheduler's ProfileCache and
-// InterferenceTable, which persist across runs. Each run() builds one
-// Replay, seeds it, runs it to completion and reads its results.
+// InterferenceTable, which persist across runs, and the caller's
+// submission stream. Each run() builds one Replay, runs it over the
+// stream and reads its results.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -34,12 +36,12 @@ class Replay : public PlanResolver {
   Replay(const Replay&) = delete;
   Replay& operator=(const Replay&) = delete;
 
-  /// Schedules the arrival event of every submission (fresh retry
-  /// budget each). Call before running.
-  void seed(std::vector<Submission> submissions);
-
-  /// Drains the event queue completely (or until a failure).
-  void run_to_completion();
+  /// Replays `stream`, in `order` (its indices sorted by (arrival,
+  /// id)), to completion or a failure. A cursor over `order` merges with
+  /// the event queue at pop time and wins time ties; retry events carry
+  /// a stream index, so `stream` must outlive the replay.
+  void run(std::span<const Submission> stream,
+           std::span<const std::uint32_t> order);
 
   // -- Results --
 
@@ -123,8 +125,8 @@ class Replay : public PlanResolver {
       std::uint32_t node);
 
   /// One arrival path for fresh submissions and deferred/rejected
-  /// retries.
-  void arrive(Submission submission, std::uint32_t attempt, SimTime now);
+  /// retries of `stream_[index]`.
+  void arrive(std::uint32_t index, std::uint32_t attempt, SimTime now);
   /// Asks the planner for a window plan and commits its steps. The
   /// planner never mutates the fleet; everything below this line is the
   /// commit stage — the only code that starts work, charges leases, or
@@ -154,6 +156,9 @@ class Replay : public PlanResolver {
   InterferenceTable& interference_;
   Planner planner_;
   sim::EventQueue events_;
+  std::span<const Submission> stream_;
+  /// Time of the popped event; lets a retry callback fit inline.
+  SimTime now_ = 0;
   Fleet fleet_;
   SubmissionQueue queue_;
   std::vector<CompletionRecord> completions_;

@@ -1,6 +1,8 @@
 #include "service/scheduler.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -44,6 +46,11 @@ Expected<ServiceResult> OnlineScheduler::run(
                "sharding.threads (%u) must be 1",
                config_.sharding.regions, config_.sharding.threads));
   }
+  if (submissions.size() > std::numeric_limits<std::uint32_t>::max()) {
+    return make_error(format("a stream holds at most %u submissions, not %zu",
+                             std::numeric_limits<std::uint32_t>::max(),
+                             submissions.size()));
+  }
 
   // Cache stats and allocator counters are cumulative (they survive
   // across runs); this run's share is the before/after delta.
@@ -55,18 +62,15 @@ Expected<ServiceResult> OnlineScheduler::run(
   const CacheStats cache_before = cache_.stats();
   const pmemsim::AllocatorCounters counters_before = allocator_counters();
 
-  std::vector<Submission> ordered(submissions.begin(), submissions.end());
-  std::stable_sort(ordered.begin(), ordered.end(),
-                   [](const Submission& a, const Submission& b) {
-                     if (a.arrival_ns != b.arrival_ns) {
-                       return a.arrival_ns < b.arrival_ns;
-                     }
-                     return a.id < b.id;
-                   });
+  // Replay order is (arrival, id); the stream itself is never copied.
+  std::vector<std::uint32_t> order(submissions.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::ranges::stable_sort(order, {}, [&](std::uint32_t i) {
+    return std::pair(submissions[i].arrival_ns, submissions[i].id);
+  });
 
   Replay replay(config_, cache_, interference_);
-  replay.seed(std::move(ordered));
-  replay.run_to_completion();
+  replay.run(submissions, order);
   if (replay.failure().has_value()) return Unexpected{*replay.failure()};
   PMEMFLOW_ASSERT_MSG(replay.checkpoints_empty(),
                       "checkpointed victim never resumed");

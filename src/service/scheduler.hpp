@@ -4,9 +4,9 @@
 // OnlineScheduler replays a stream of Submissions against a simulated
 // fleet, entirely on the repo's deterministic DES clock (the same
 // sim::EventQueue the workflow engine uses): arrivals, deferred-retry
-// timers, and node-free events interleave in timestamp order with FIFO
-// tie-breaking, so a given (submission stream, config) pair always
-// produces the identical schedule.
+// timers, and node-free events interleave in timestamp order, arrivals
+// first and FIFO otherwise at a tie, so a given (submission stream,
+// config) pair always produces the identical schedule.
 //
 // Per submission:
 //   1. admission — SubmissionQueue verdict; deferred and rejected

@@ -42,14 +42,14 @@ AdmissionVerdict SubmissionQueue::classify(Priority priority) const noexcept {
   return AdmissionVerdict::kAdmitted;
 }
 
-AdmissionDecision SubmissionQueue::submit(Submission submission,
+AdmissionDecision SubmissionQueue::submit(const Submission& submission,
                                           SimDuration retry_after_ns) {
   AdmissionDecision decision;
   decision.verdict = classify(submission.priority);
   switch (decision.verdict) {
     case AdmissionVerdict::kAdmitted:
       ++stats_.admitted;
-      queue_.insert(std::move(submission));
+      queue_.insert(submission);
       stats_.high_water = std::max(stats_.high_water, queue_.size());
       break;
     case AdmissionVerdict::kDeferred:

@@ -44,10 +44,10 @@ class SubmissionQueue {
   /// current occupancy. Does not modify the queue.
   [[nodiscard]] AdmissionVerdict classify(Priority priority) const noexcept;
 
-  /// Classifies and, when admitted, enqueues. Stats are updated either
-  /// way. The caller supplies `retry_after_ns` (typically: time until
-  /// the fleet's next node frees) for non-admitted verdicts.
-  AdmissionDecision submit(Submission submission,
+  /// Classifies and, when admitted, enqueues a copy. Stats are updated
+  /// either way. The caller supplies `retry_after_ns` (typically: time
+  /// until the fleet's next node frees) for non-admitted verdicts.
+  AdmissionDecision submit(const Submission& submission,
                            SimDuration retry_after_ns);
 
   /// Highest-dispatch-priority submission; queue must not be empty.

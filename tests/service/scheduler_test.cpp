@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 
 #include "service/arrivals.hpp"
@@ -339,6 +340,121 @@ TEST(OnlineScheduler, ShardingStubAcceptsOnlyOneRegionOnOneThread) {
   ASSERT_FALSE(rejected_threads.has_value());
   EXPECT_NE(rejected_threads.error().message.find("sharding"),
             std::string::npos);
+}
+
+/// Delegates to a real writer model and records the most shared_ptr
+/// owners it had while the profile cache sampled and characterized it:
+/// each Submission the service holds on to owns one through its spec.
+class OwnerCountingModel
+    : public workflow::SimulationModel,
+      public std::enable_shared_from_this<OwnerCountingModel> {
+ public:
+  explicit OwnerCountingModel(
+      std::shared_ptr<const workflow::SimulationModel> inner)
+      : inner_(std::move(inner)) {}
+
+  [[nodiscard]] std::string_view name() const override {
+    return inner_->name();
+  }
+  [[nodiscard]] stack::SnapshotPart part_for(
+      std::uint32_t rank, std::uint32_t total_ranks,
+      std::uint64_t version) const override {
+    peak_owners_ = std::max(peak_owners_, weak_from_this().use_count());
+    return inner_->part_for(rank, total_ranks, version);
+  }
+  [[nodiscard]] double compute_ns_per_iteration(
+      std::uint32_t rank, std::uint32_t total_ranks) const override {
+    return inner_->compute_ns_per_iteration(rank, total_ranks);
+  }
+  [[nodiscard]] long peak_owners() const noexcept { return peak_owners_; }
+
+ private:
+  std::shared_ptr<const workflow::SimulationModel> inner_;
+  mutable long peak_owners_ = 0;
+};
+
+TEST(OnlineScheduler, RunHoldsNoCopyOfTheStream) {
+  // The first arrival's cold characterization runs while every other
+  // submission is still pending. The replay reads pending arrivals and
+  // retries from the caller's stream, so the only Submission copies
+  // beside the stream's own are the queued ones: no sorted copy, and
+  // no copy per pending arrival event.
+  constexpr std::size_t kCount = 300;
+  workflow::WorkflowSpec spec = make_class_pool(1, 42).front();
+  const auto model = std::make_shared<OwnerCountingModel>(spec.simulation);
+  spec.simulation = model;
+  std::vector<Submission> stream(kCount);
+  for (std::size_t i = 0; i < kCount; ++i) {
+    stream[i].id = i;
+    stream[i].spec = spec;
+    stream[i].arrival_ns = i * kMillisecond;
+  }
+  spec = workflow::WorkflowSpec{};
+
+  ServiceConfig config;
+  config.nodes = 2;
+  config.queue_capacity = 8;
+  auto result = OnlineScheduler(config).run(stream);
+  ASSERT_TRUE(result.has_value());
+  ASSERT_GT(model->peak_owners(), 0) << "the model was never sampled";
+  // Owners: `model`, the stream, and a few held by the queue and the
+  // profile cache; a copy of the whole stream would add kCount.
+  EXPECT_LT(model->peak_owners(), static_cast<long>(kCount) + 1 + 16);
+}
+
+TEST(OnlineScheduler, ArrivalsWinTimeTiesAgainstFinishesAndRetries) {
+  // One node, one queue place, one workflow class of runtime R. A
+  // starts at 0 and B waits in the queue. C, turned away just before
+  // A finishes, retries at R + 0.5 ms. D arrives exactly at A's finish
+  // and E exactly at C's retry; each arrival fires first at its
+  // timestamp, so D finds B still queued and E takes the place that
+  // B's start freed ahead of C's retry.
+  const workflow::WorkflowSpec spec = make_class_pool(1, 42).front();
+  ServiceConfig config;
+  config.nodes = 1;
+  config.queue_capacity = 1;
+  config.defer_watermark = 1.0;
+
+  std::vector<Submission> solo(1);
+  solo[0].spec = spec;
+  auto probe = OnlineScheduler(config).run(solo);
+  ASSERT_TRUE(probe.has_value());
+  ASSERT_EQ(probe->completions.size(), 1u);
+  constexpr SimDuration kRuntime = 4007226787;
+  ASSERT_EQ(probe->completions[0].finish_ns, kRuntime);
+
+  const SimTime arrivals[] = {0, kMillisecond, kRuntime - kMillisecond / 2,
+                              kRuntime, kRuntime + kMillisecond / 2};
+  std::vector<Submission> stream(std::size(arrivals));
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    stream[i].id = i;
+    stream[i].spec = spec;
+    stream[i].arrival_ns = arrivals[i];
+  }
+  auto result = OnlineScheduler(config).run(stream);
+  ASSERT_TRUE(result.has_value());
+
+  struct Pinned {
+    std::uint64_t id;
+    SimTime start_ns;
+    SimTime finish_ns;
+  };
+  // Back to back on the one node: A, B, E, C, D.
+  constexpr Pinned kExpected[] = {{0, 0, kRuntime},
+                                  {1, kRuntime, 2 * kRuntime},
+                                  {4, 2 * kRuntime, 3 * kRuntime},
+                                  {2, 3 * kRuntime, 4 * kRuntime},
+                                  {3, 4 * kRuntime, 5 * kRuntime}};
+  ASSERT_EQ(result->completions.size(), std::size(kExpected));
+  for (std::size_t i = 0; i < std::size(kExpected); ++i) {
+    const CompletionRecord& record = result->completions[i];
+    EXPECT_EQ(record.id, kExpected[i].id) << "record " << i;
+    EXPECT_EQ(record.arrival_ns, arrivals[record.id]) << "record " << i;
+    EXPECT_EQ(record.start_ns, kExpected[i].start_ns) << "record " << i;
+    EXPECT_EQ(record.finish_ns, kExpected[i].finish_ns) << "record " << i;
+  }
+  EXPECT_EQ(result->metrics.retries, 5u);
+  EXPECT_EQ(result->metrics.dropped, 0u);
 }
 
 TEST(OnlineScheduler, TracerSpansBalance) {

@@ -23,6 +23,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iostream>
+#include <limits>
 #include <memory>
 
 #include "common/flags.hpp"
@@ -141,6 +142,36 @@ int main(int argc, char** argv) {
     return status.error().message.find("usage:") != std::string::npos ? 0 : 2;
   }
 
+  // Integer flags are checked as signed values against their lower
+  // bound and their target type's maximum, before any cast: a negative
+  // count must not wrap to a huge unsigned one, nor a count above 2^32
+  // to a small one.
+  constexpr std::int64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
+  constexpr std::int64_t kNoMax = std::numeric_limits<std::int64_t>::max();
+  constexpr struct {
+    const char* name;
+    std::int64_t min;
+    std::int64_t max;
+  } kIntFlags[] = {
+      {"nodes", 1, kU32Max},          {"queue-capacity", 1, kNoMax},
+      {"cache-capacity", 1, kNoMax},  {"planner-window", 1, kU32Max},
+      {"classes", 1, kU32Max},        {"submissions", 1, kNoMax},
+      {"limit", 0, kNoMax},           {"retain-versions", 0, kU32Max},
+  };
+  for (const auto& [name, min, max] : kIntFlags) {
+    const std::int64_t value = flags.get_int(name);
+    if (value < min || value > max) {
+      std::cerr << "error: --" << name << " must be "
+                << (max == kNoMax
+                        ? format(">= %lld", static_cast<long long>(min))
+                        : format("in [%lld, %lld]",
+                                 static_cast<long long>(min),
+                                 static_cast<long long>(max)))
+                << "\n";
+      return 1;
+    }
+  }
+
   service::ArrivalParams arrivals;
   arrivals.count = static_cast<std::uint64_t>(flags.get_int("submissions"));
   arrivals.classes = static_cast<std::uint32_t>(flags.get_int("classes"));
@@ -232,14 +263,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Checked as signed values, before the casts: a negative count must
-  // not wrap to a huge unsigned one.
-  for (const char* name : {"nodes", "queue-capacity", "cache-capacity"}) {
-    if (flags.get_int(name) < 1) {
-      std::cerr << "error: --" << name << " must be >= 1\n";
-      return 1;
-    }
-  }
   service::ServiceConfig config;
   config.nodes = static_cast<std::uint32_t>(flags.get_int("nodes"));
   config.queue_capacity =
@@ -250,17 +273,11 @@ int main(int argc, char** argv) {
                           : service::PreemptionPolicy::kNone;
   config.cache_capacity =
       static_cast<std::size_t>(flags.get_int("cache-capacity"));
-  if (flags.get_int("planner-window") < 1) {
-    std::cerr << "error: --planner-window must be >= 1\n";
-    return 1;
-  }
   config.planner.window =
       static_cast<std::uint32_t>(flags.get_int("planner-window"));
   const double pmem_capacity_gb = flags.get_double("pmem-capacity");
-  if (pmem_capacity_gb < 0.0 || flags.get_double("staging") < 0.0 ||
-      flags.get_int("retain-versions") < 0) {
-    std::cerr << "error: --pmem-capacity, --staging, and --retain-versions "
-                 "must be >= 0\n";
+  if (pmem_capacity_gb < 0.0 || flags.get_double("staging") < 0.0) {
+    std::cerr << "error: --pmem-capacity and --staging must be >= 0\n";
     return 1;
   }
   config.capacity.pmem_per_socket =
