@@ -12,15 +12,7 @@ double to_ms(double ns) { return ns / 1e6; }
 
 ServiceMetrics aggregate_metrics(const std::vector<CompletionRecord>& records,
                                  SimDuration makespan_ns,
-                                 const std::vector<double>& node_utilization,
-                                 const QueueStats& admission,
-                                 const CacheStats& cache,
-                                 std::uint64_t retries, std::uint64_t dropped,
-                                 std::uint64_t colocations,
-                                 SimDuration interference_overhead_ns,
-                                 std::uint64_t evictions, Bytes gc_bytes,
-                                 std::uint64_t stage_hits,
-                                 Bytes residency_high_water) {
+                                 const std::vector<double>& node_utilization) {
   // A zero-completion run (everything rejected or dropped) must report
   // clean zeros: metrics::summarize returns an all-zero SummaryStats
   // for empty input, and every ratio below guards its denominator, so
@@ -57,16 +49,6 @@ ServiceMetrics aggregate_metrics(const std::vector<CompletionRecord>& records,
       node_utilization.empty()
           ? 0.0
           : sum / static_cast<double>(node_utilization.size());
-  metrics.admission = admission;
-  metrics.cache = cache;
-  metrics.retries = retries;
-  metrics.dropped = dropped;
-  metrics.colocations = colocations;
-  metrics.interference_overhead_ns = interference_overhead_ns;
-  metrics.evictions = evictions;
-  metrics.gc_bytes = gc_bytes;
-  metrics.stage_hits = stage_hits;
-  metrics.residency_high_water = residency_high_water;
   return metrics;
 }
 

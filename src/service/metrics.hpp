@@ -165,14 +165,12 @@ struct ServiceMetrics {
   }
 };
 
-/// Condenses completion records + component stats into ServiceMetrics.
+/// Condenses completion records and per-node utilization into
+/// ServiceMetrics. The counters the records do not carry (admission,
+/// cache, retries, residency, ...) are left zero for the caller to set.
 [[nodiscard]] ServiceMetrics aggregate_metrics(
     const std::vector<CompletionRecord>& records, SimDuration makespan_ns,
-    const std::vector<double>& node_utilization, const QueueStats& admission,
-    const CacheStats& cache, std::uint64_t retries, std::uint64_t dropped,
-    std::uint64_t colocations = 0, SimDuration interference_overhead_ns = 0,
-    std::uint64_t evictions = 0, Bytes gc_bytes = 0,
-    std::uint64_t stage_hits = 0, Bytes residency_high_water = 0);
+    const std::vector<double>& node_utilization);
 
 /// Renders the operator dashboard as an aligned text table.
 void print_service_report(std::ostream& out, const std::string& title,

@@ -40,41 +40,32 @@ core::Placement flipped(core::Placement placement) noexcept {
              : core::Placement::kLocalWrite;
 }
 
+ChannelVolume channel_volume(const CachedProfile& profile,
+                             const workflow::WorkflowSpec& spec) {
+  return ChannelVolume{
+      profile.profile.simulation.bytes_per_iteration * spec.ranks,
+      profile.profile.simulation.objects_per_iteration * spec.ranks,
+      std::max<std::uint32_t>(1, spec.iterations)};
+}
+
+ChannelVolume channel_volume(const CachedDagProfile& profile) {
+  return ChannelVolume{profile.bytes_per_iteration,
+                       profile.objects_per_iteration,
+                       std::max<std::uint32_t>(1, profile.iterations)};
+}
+
 Bytes lease_for(const capacity::ResidencyParams& params,
-                const CachedProfile& profile,
-                const workflow::WorkflowSpec& spec) {
-  // Snapshot and op basis are fleet-wide per iteration: the profile's
-  // per-rank numbers times the rank count (same basis as
-  // RunningTask::snapshot_bytes_per_iteration).
-  const Bytes snapshot =
-      profile.profile.simulation.bytes_per_iteration * spec.ranks;
-  const std::uint64_t ops =
-      profile.profile.simulation.objects_per_iteration * spec.ranks;
-  const auto iterations = std::max<std::uint32_t>(1, spec.iterations);
+                const ChannelVolume& volume) {
   const capacity::RetentionParams& retention = params.retention;
   // Without GC every committed version stays resident until the channel
   // finishes, so the lease must cover the full version volume — the
   // capacity-blind regime. With GC only the retained window is live.
   const Bytes snapshot_live =
-      retention.gc ? capacity::retained_bytes(snapshot, iterations, retention)
-                   : snapshot * iterations;
-  return snapshot_live +
-         capacity::metadata_peak_bytes(params.nova, ops, iterations);
-}
-
-Bytes lease_for_dag(const capacity::ResidencyParams& params,
-                    const CachedDagProfile& profile) {
-  // Same basis as lease_for, generalized over every edge: the profile's
-  // per-iteration byte/object volume already sums all edges and ranks.
-  const Bytes snapshot = profile.bytes_per_iteration;
-  const std::uint64_t ops = profile.objects_per_iteration;
-  const auto iterations = std::max<std::uint32_t>(1, profile.iterations);
-  const capacity::RetentionParams& retention = params.retention;
-  const Bytes snapshot_live =
-      retention.gc ? capacity::retained_bytes(snapshot, iterations, retention)
-                   : snapshot * iterations;
-  return snapshot_live +
-         capacity::metadata_peak_bytes(params.nova, ops, iterations);
+      retention.gc ? capacity::retained_bytes(volume.snapshot_bytes,
+                                              volume.iterations, retention)
+                   : volume.snapshot_bytes * volume.iterations;
+  return snapshot_live + capacity::metadata_peak_bytes(
+                             params.nova, volume.ops, volume.iterations);
 }
 
 core::DeploymentConfig planned_config(const ServiceConfig& config,
@@ -98,12 +89,67 @@ core::DeploymentConfig planned_config(const ServiceConfig& config,
   return chosen;
 }
 
+bool planned_fusion(const ServiceConfig& config,
+                    const CachedDagProfile& profile) {
+  return config.policy == PlacementPolicy::kDagFusion
+             ? profile.fused_feasible
+             : !profile.spread_feasible;
+}
+
 bool Planner::heterogeneous() const noexcept {
   return !config_.node_specs.empty();
 }
 
 bool Planner::capacity_on() const noexcept {
   return config_.capacity.enabled();
+}
+
+Expected<Resolved<CachedProfile>> Planner::lookup_profile(
+    const workflow::WorkflowSpec& spec, std::uint32_t node) {
+  const std::uint64_t hits_before = cache_.stats().hits;
+  auto profile = heterogeneous()
+                     ? cache_.lookup(spec, config_.node_specs[node].devices)
+                     : cache_.lookup(spec);
+  if (!profile.has_value()) return Unexpected{profile.error()};
+  return Resolved<CachedProfile>{*profile, cache_.stats().hits > hits_before};
+}
+
+Expected<Resolved<CachedDagProfile>> Planner::lookup_dag_profile(
+    const dag::DagSpec& spec, std::uint32_t node) {
+  const std::uint64_t hits_before = cache_.stats().hits;
+  auto profile =
+      heterogeneous()
+          ? cache_.lookup_dag(spec, config_.node_specs[node].devices)
+          : cache_.lookup_dag(spec);
+  if (!profile.has_value()) return Unexpected{profile.error()};
+  return Resolved<CachedDagProfile>{*profile,
+                                    cache_.stats().hits > hits_before};
+}
+
+Expected<std::optional<PairInterference>> Planner::pack_fit(
+    const Submission& incumbent, const CachedProfile& joiner,
+    const workflow::WorkflowSpec& joiner_spec, std::uint32_t node) {
+  using Fit = std::optional<PairInterference>;
+  // A DAG incumbent owns both sockets under its plan; nothing packs
+  // next to it.
+  if (incumbent.dag != nullptr) return Fit{};
+  auto incumbent_profile = lookup_profile(incumbent.spec, node);
+  if (!incumbent_profile.has_value()) {
+    return Unexpected{incumbent_profile.error()};
+  }
+  const CachedProfile& a = *incumbent_profile->profile;
+  if (!colocation_compatible(a, joiner, config_.colocation)) {
+    return Fit{};
+  }
+  auto pair = heterogeneous()
+                  ? interference_.lookup(a, incumbent.spec, joiner,
+                                         joiner_spec,
+                                         config_.node_specs[node].devices)
+                  : interference_.lookup(a, incumbent.spec, joiner,
+                                         joiner_spec);
+  if (!pair.has_value()) return Unexpected{pair.error()};
+  if (!pair->feasible) return Fit{};
+  return Fit{*pair};
 }
 
 SimDuration Planner::estimate_runtime(const Submission& next,
@@ -113,10 +159,8 @@ SimDuration Planner::estimate_runtime(const Submission& next,
     // An unplaceable DAG still gets a step — the commit stage drops it
     // — and costs no node time.
     if (profile == nullptr || !profile->placeable()) return 0;
-    const bool fuse = config_.policy == PlacementPolicy::kDagFusion
-                          ? profile->fused_feasible
-                          : !profile->spread_feasible;
-    return fuse ? profile->fused_runtime_ns : profile->spread_runtime_ns;
+    return planned_fusion(config_, *profile) ? profile->fused_runtime_ns
+                                             : profile->spread_runtime_ns;
   }
   if (c.profile == nullptr) return 0;  // capacity untracked fallback
   const core::DeploymentConfig chosen =
@@ -126,8 +170,8 @@ SimDuration Planner::estimate_runtime(const Submission& next,
 }
 
 Expected<std::vector<PlacementCandidate>> Planner::enumerate(
-    PlanResolver& resolver, const Fleet& fleet, const Submission& next,
-    SimTime now, const std::vector<bool>& consumed, bool lookahead) {
+    const Fleet& fleet, const Submission& next, SimTime now,
+    const std::vector<bool>& consumed, bool lookahead) {
   std::vector<PlacementCandidate> out;
   std::vector<std::uint32_t> idle;
   fleet.idle_nodes(now, idle);
@@ -139,29 +183,11 @@ Expected<std::vector<PlacementCandidate>> Planner::enumerate(
     return first_fit ? 0 : static_cast<std::uint64_t>(fleet.node(i).busy_ns);
   };
 
-  if (next.dag != nullptr) {
-    // A DAG's stages span both sockets regardless of plan, so only a
-    // fully-idle node will do; kFirstFit keeps its index preference and
-    // every other policy (kDagFusion included) places least-loaded. At
-    // window 1 only the winner's DAG profile is resolved (finalize),
-    // matching the legacy single lookup.
-    for (std::uint32_t i : idle) {
-      PlacementCandidate c;
-      c.ref = SlotRef{i, 0};
-      c.load = solo_load(i);
-      if (lookahead) {
-        auto profile = resolver.resolve_dag_profile(*next.dag, i);
-        if (!profile.has_value()) return Unexpected{profile.error()};
-        c.dag_profile = profile->profile;
-        c.cache_hit = profile->cache_hit;
-        c.estimate_ns = estimate_runtime(next, c);
-      }
-      out.push_back(std::move(c));
-    }
-    return out;
-  }
+  // Only pair work has a policy-specific enumeration; DAGs take the
+  // plain solo path at the end.
+  const bool pair = next.dag == nullptr;
 
-  if (config_.policy == PlacementPolicy::kColocationAware) {
+  if (pair && config_.policy == PlacementPolicy::kColocationAware) {
     // The candidate's class profile is needed before commit: pair
     // compatibility and the interference charge depend on it. On a
     // homogeneous fleet it is node-independent and resolved once up
@@ -169,13 +195,11 @@ Expected<std::vector<PlacementCandidate>> Planner::enumerate(
     // the profile cache's LRU state and hit counters) is part of the
     // window-1 equivalence contract. Heterogeneous fleets resolve per
     // candidate node.
-    std::shared_ptr<const CachedProfile> head;
-    bool head_hit = false;
+    Resolved<CachedProfile> head;
     if (!heterogeneous()) {
-      auto profile = resolver.resolve_profile(next.spec, 0);
+      auto profile = lookup_profile(next.spec, 0);
       if (!profile.has_value()) return Unexpected{profile.error()};
-      head = profile->profile;
-      head_hit = profile->cache_hit;
+      head = std::move(*profile);
     }
 
     // Preference 1: an empty node (least-loaded) — solo running is
@@ -184,14 +208,12 @@ Expected<std::vector<PlacementCandidate>> Planner::enumerate(
       PlacementCandidate c;
       c.ref = SlotRef{i, 0};
       c.load = solo_load(i);
-      c.profile = head;
-      c.cache_hit = head_hit;
+      c.profile = head.profile;
+      c.cache_hit = head.cache_hit;
       if (lookahead) {
         if (heterogeneous()) {
-          auto profile = resolver.resolve_profile(next.spec, i);
-          if (!profile.has_value()) return Unexpected{profile.error()};
-          c.profile = profile->profile;
-          c.cache_hit = profile->cache_hit;
+          const Status resolved = resolve(next, c);
+          if (!resolved.has_value()) return Unexpected{resolved.error()};
         }
         c.estimate_ns = estimate_runtime(next, c);
       }
@@ -210,50 +232,34 @@ Expected<std::vector<PlacementCandidate>> Planner::enumerate(
       if (!consumed.empty() && consumed[i]) continue;
       const auto target = fleet.pack_slot(i, now);
       if (!target.has_value()) continue;
-      std::shared_ptr<const CachedProfile> joiner = head;
-      bool joiner_hit = head_hit;
+      PlacementCandidate c;
+      c.ref = SlotRef{i, *target};
+      c.profile = head.profile;
+      c.cache_hit = head.cache_hit;
       if (heterogeneous()) {
         // The candidate's profile on *this* node's backend.
-        auto profile = resolver.resolve_profile(next.spec, i);
-        if (!profile.has_value()) return Unexpected{profile.error()};
-        joiner = profile->profile;
-        joiner_hit = profile->cache_hit;
+        const Status resolved = resolve(next, c);
+        if (!resolved.has_value()) return Unexpected{resolved.error()};
       }
       const RunningTask* incumbent =
           fleet.running(SlotRef{i, *fleet.sole_tenant_slot(i)});
-      // A DAG incumbent owns both sockets under its plan; nothing packs
-      // next to it.
-      if (incumbent->submission.dag != nullptr) continue;
-      auto incumbent_profile =
-          resolver.resolve_profile(incumbent->submission.spec, i);
-      if (!incumbent_profile.has_value()) {
-        return Unexpected{incumbent_profile.error()};
-      }
-      if (!colocation_compatible(*incumbent_profile->profile, *joiner,
-                                 config_.colocation)) {
-        continue;
-      }
-      auto pair = resolver.resolve_interference(
-          *incumbent_profile->profile, incumbent->submission.spec, *joiner,
-          next.spec, i);
-      if (!pair.has_value()) return Unexpected{pair.error()};
-      if (!pair->feasible) continue;
-      PlacementCandidate c;
-      c.ref = SlotRef{i, *target};
+      auto fit = pack_fit(incumbent->submission, *c.profile, next.spec, i);
+      if (!fit.has_value()) return Unexpected{fit.error()};
+      if (!fit->has_value()) continue;
+      const PairInterference& measured = **fit;
       c.packs = true;
-      c.factor = pair->slowdown_b;
-      c.incumbent_factor = pair->slowdown_a;
-      c.profile = joiner;
-      c.cache_hit = joiner_hit;
+      c.factor = measured.slowdown_b;
+      c.incumbent_factor = measured.slowdown_a;
       c.tier = 1;
-      c.cost = pair->slowdown_a + pair->slowdown_b;
+      c.cost = measured.slowdown_a + measured.slowdown_b;
       if (lookahead) c.estimate_ns = estimate_runtime(next, c);
       out.push_back(std::move(c));
     }
     return out;
   }
 
-  if (config_.policy == PlacementPolicy::kCapacityAware && capacity_on()) {
+  if (pair && config_.policy == PlacementPolicy::kCapacityAware &&
+      capacity_on()) {
     // Rank fully-idle nodes by fit tier, then least busy time:
     //   0 — lease fits the preferred socket outright;
     //   1 — fits the node's other socket (spill: run placement-flipped);
@@ -263,32 +269,26 @@ Expected<std::vector<PlacementCandidate>> Planner::enumerate(
     const std::uint32_t other = preferred ^ 1u;
     const capacity::ResidencyTracker& residency = fleet.residency();
     for (std::uint32_t i : idle) {
-      auto profile = resolver.resolve_profile(next.spec, i);
-      if (!profile.has_value()) return Unexpected{profile.error()};
-      const Bytes lease =
-          lease_for(config_.capacity, *profile->profile, next.spec);
-      std::uint64_t tier = 0;
-      bool flip = false;
+      PlacementCandidate c;
+      c.ref = SlotRef{i, 0};
+      const Status resolved = resolve(next, c);
+      if (!resolved.has_value()) return Unexpected{resolved.error()};
+      const Bytes lease = lease_for(config_.capacity,
+                                    channel_volume(*c.profile, next.spec));
       if (residency.fits(i, preferred, lease)) {
-        tier = 0;
+        c.tier = 0;
       } else if (residency.fits(i, other, lease)) {
-        tier = 1;
-        flip = true;
+        c.tier = 1;
+        c.flip_placement = true;
       } else if (residency.fits_after_eviction(i, preferred, lease)) {
-        tier = 2;
+        c.tier = 2;
       } else if (residency.fits_after_eviction(i, other, lease)) {
-        tier = 3;
-        flip = true;
+        c.tier = 3;
+        c.flip_placement = true;
       } else {
         continue;
       }
-      PlacementCandidate c;
-      c.ref = SlotRef{i, 0};
-      c.profile = profile->profile;
-      c.cache_hit = profile->cache_hit;
-      c.flip_placement = flip;
       c.lease_bytes = lease;
-      c.tier = tier;
       c.load = static_cast<std::uint64_t>(fleet.node(i).busy_ns);
       if (lookahead) c.estimate_ns = estimate_runtime(next, c);
       out.push_back(std::move(c));
@@ -314,7 +314,7 @@ Expected<std::vector<PlacementCandidate>> Planner::enumerate(
     return out;
   }
 
-  if (config_.policy == PlacementPolicy::kRecommenderAware &&
+  if (pair && config_.policy == PlacementPolicy::kRecommenderAware &&
       heterogeneous()) {
     // Backend-aware routing: among fully-idle nodes, place the class on
     // the backend where its recommended configuration runs fastest —
@@ -322,23 +322,21 @@ Expected<std::vector<PlacementCandidate>> Planner::enumerate(
     // Optane routes to a locality-free backend. Lowest node index
     // breaks runtime ties deterministically.
     for (std::uint32_t i : idle) {
-      auto profile = resolver.resolve_profile(next.spec, i);
-      if (!profile.has_value()) return Unexpected{profile.error()};
-      const core::DeploymentConfig chosen =
-          config_.use_rule_based ? profile->profile->rule_based.config
-                                 : profile->profile->model_based.config;
-      const SimDuration runtime =
-          profile->profile->runtime_ns[config_index(chosen)];
       PlacementCandidate c;
       c.ref = SlotRef{i, 0};
+      const Status resolved = resolve(next, c);
+      if (!resolved.has_value()) return Unexpected{resolved.error()};
+      // The recommended configuration's runtime (planned_config).
+      const SimDuration runtime = estimate_runtime(next, c);
       c.load = static_cast<std::uint64_t>(runtime);
       if (lookahead) {
+        c.estimate_ns = runtime;
+      } else {
         // Window 1 deliberately leaves the profile unresolved on the
         // candidate: the legacy router returned only the node and the
         // commit stage re-resolved, so the cache traffic must match.
-        c.profile = profile->profile;
-        c.cache_hit = profile->cache_hit;
-        c.estimate_ns = runtime;
+        c.profile = nullptr;
+        c.cache_hit = false;
       }
       out.push_back(std::move(c));
     }
@@ -346,18 +344,19 @@ Expected<std::vector<PlacementCandidate>> Planner::enumerate(
   }
 
   // Plain solo placement: kFirstFit, kLeastLoaded, homogeneous
-  // kRecommenderAware, kDagFusion's pair submissions, and
-  // kCapacityAware without the capacity model. No profile is needed to
-  // decide, so none is resolved at window 1 (the commit stage does it).
+  // kRecommenderAware, kCapacityAware without the capacity model, and
+  // every DAG. No profile is needed to decide, so none is resolved at
+  // window 1 (the commit stage, or finalize() for a DAG, does it). A
+  // DAG's stages span both sockets regardless of plan, so only a
+  // fully-idle node will do; kFirstFit keeps its index preference and
+  // every other policy (kDagFusion included) places least-loaded.
   for (std::uint32_t i : idle) {
     PlacementCandidate c;
     c.ref = SlotRef{i, 0};
     c.load = solo_load(i);
     if (lookahead) {
-      auto profile = resolver.resolve_profile(next.spec, i);
-      if (!profile.has_value()) return Unexpected{profile.error()};
-      c.profile = profile->profile;
-      c.cache_hit = profile->cache_hit;
+      const Status resolved = resolve(next, c);
+      if (!resolved.has_value()) return Unexpected{resolved.error()};
       c.estimate_ns = estimate_runtime(next, c);
     }
     out.push_back(std::move(c));
@@ -365,28 +364,35 @@ Expected<std::vector<PlacementCandidate>> Planner::enumerate(
   return out;
 }
 
-Status Planner::finalize(PlanResolver& resolver, const Submission& next,
-                         PlacementCandidate& candidate) {
+Status Planner::resolve(const Submission& next, PlacementCandidate& c) {
   if (next.dag != nullptr) {
-    auto profile = resolver.resolve_dag_profile(*next.dag, candidate.ref.node);
+    auto profile = lookup_dag_profile(*next.dag, c.ref.node);
     if (!profile.has_value()) return Unexpected{profile.error()};
-    candidate.dag_profile = profile->profile;
-    candidate.cache_hit = profile->cache_hit;
+    c.dag_profile = std::move(profile->profile);
+    c.cache_hit = profile->cache_hit;
     return ok_status();
   }
-  if (config_.policy == PlacementPolicy::kColocationAware && heterogeneous() &&
-      !candidate.packs) {
-    // The winning solo node's backend decides the profile (the pack
-    // path resolved it during enumeration).
-    auto profile = resolver.resolve_profile(next.spec, candidate.ref.node);
-    if (!profile.has_value()) return Unexpected{profile.error()};
-    candidate.profile = profile->profile;
-    candidate.cache_hit = profile->cache_hit;
+  auto profile = lookup_profile(next.spec, c.ref.node);
+  if (!profile.has_value()) return Unexpected{profile.error()};
+  c.profile = std::move(profile->profile);
+  c.cache_hit = profile->cache_hit;
+  return ok_status();
+}
+
+Status Planner::finalize(const Submission& next,
+                         PlacementCandidate& candidate) {
+  // A DAG's profile, and on a heterogeneous co-location fleet the
+  // winning solo node's profile (the pack path resolved its own during
+  // enumeration).
+  if (next.dag != nullptr ||
+      (config_.policy == PlacementPolicy::kColocationAware &&
+       heterogeneous() && !candidate.packs)) {
+    return resolve(next, candidate);
   }
   return ok_status();
 }
 
-Expected<Plan> Planner::plan(PlanResolver& resolver, const Fleet& fleet,
+Expected<Plan> Planner::plan(const Fleet& fleet,
                              std::span<const Submission* const> window,
                              SimTime now) {
   PMEMFLOW_ASSERT(!window.empty());
@@ -397,7 +403,7 @@ Expected<Plan> Planner::plan(PlanResolver& resolver, const Fleet& fleet,
     // profile-cache lookup order.
     const Submission& next = *window.front();
     auto candidates =
-        enumerate(resolver, fleet, next, now, {}, /*lookahead=*/false);
+        enumerate(fleet, next, now, {}, /*lookahead=*/false);
     if (!candidates.has_value()) return Unexpected{candidates.error()};
     if (candidates->empty()) return plan;
     std::size_t best = 0;
@@ -405,7 +411,7 @@ Expected<Plan> Planner::plan(PlanResolver& resolver, const Fleet& fleet,
       if (score_better((*candidates)[i], (*candidates)[best])) best = i;
     }
     PlacementCandidate chosen = std::move((*candidates)[best]);
-    const Status finalized = finalize(resolver, next, chosen);
+    const Status finalized = finalize(next, chosen);
     if (!finalized.has_value()) return Unexpected{finalized.error()};
     plan.steps.push_back(PlannedStep{next.id, std::move(chosen)});
     return plan;
@@ -414,10 +420,12 @@ Expected<Plan> Planner::plan(PlanResolver& resolver, const Fleet& fleet,
   // Bounded lookahead: greedy min-estimated-finish insertion over the
   // window, strictly by priority group (every urgent entry is offered a
   // node before any normal entry gets one), dispatch order as the final
-  // tie-break — at window 1 this degenerates to exactly the greedy
-  // path above. The overlay marks nodes taken by earlier steps of this
-  // plan; planned tenants are never packed onto within the same window
-  // (their interference would be a guess, not a measurement).
+  // tie-break. It is not the greedy path for a one-entry window: it
+  // ranks by estimate first and resolves every candidate's profile, so
+  // a window of one always takes the greedy path above. The overlay
+  // marks nodes taken by earlier steps of this plan; planned tenants
+  // are never packed onto within the same window (their interference
+  // would be a guess, not a measurement).
   std::vector<bool> consumed(fleet.size(), false);
   std::vector<bool> placed(window.size(), false);
   std::size_t group_begin = 0;
@@ -436,7 +444,7 @@ Expected<Plan> Planner::plan(PlanResolver& resolver, const Fleet& fleet,
       SimTime best_finish = 0;
       for (std::size_t e = group_begin; e < group_end; ++e) {
         if (placed[e]) continue;
-        auto candidates = enumerate(resolver, fleet, *window[e], now, consumed,
+        auto candidates = enumerate(fleet, *window[e], now, consumed,
                                     /*lookahead=*/true);
         if (!candidates.has_value()) return Unexpected{candidates.error()};
         std::optional<std::size_t> local;

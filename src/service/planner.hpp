@@ -25,6 +25,13 @@
 //      that starts work, charges leases, or evicts), and preemption
 //      goes through the same commit surface.
 //
+// Each placement decision is made in one function that every stage
+// calls: the node-keyed profile and DAG-profile lookups and the pack
+// check (Planner::lookup_profile, lookup_dag_profile, pack_fit; the
+// replay's commit and preemption code call them too), the Table I pick
+// (planned_config), the fused-vs-spread DAG plan (planned_fusion) and
+// the capacity lease (lease_for over a ChannelVolume).
+//
 // With window > 1 the planner batches: it plans up to k queued
 // submissions per wake-up with a greedy min-estimated-finish insertion
 // (urgent before normal before batch; deterministic tie-breaks), so
@@ -34,6 +41,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -109,49 +117,51 @@ struct Plan {
   std::vector<PlannedStep> steps;
 };
 
-/// What the planner needs from its owner to resolve profiles and
-/// interference: Replay implements this over the scheduler's
-/// ProfileCache/InterferenceTable (heterogeneous lookups keyed by the
-/// node's backend). `cache_hit` reports whether the lookup was served
-/// from the cache — observable in completion records and metrics, so
-/// resolution order is part of the window-1 equivalence contract.
-class PlanResolver {
- public:
-  struct Resolved {
-    std::shared_ptr<const CachedProfile> profile;
-    bool cache_hit = false;
-  };
-  struct ResolvedDag {
-    std::shared_ptr<const CachedDagProfile> profile;
-    bool cache_hit = false;
-  };
-
-  virtual ~PlanResolver() = default;
-
-  [[nodiscard]] virtual Expected<Resolved> resolve_profile(
-      const workflow::WorkflowSpec& spec, std::uint32_t node) = 0;
-  [[nodiscard]] virtual Expected<ResolvedDag> resolve_dag_profile(
-      const dag::DagSpec& spec, std::uint32_t node) = 0;
-  [[nodiscard]] virtual Expected<PairInterference> resolve_interference(
-      const CachedProfile& a, const workflow::WorkflowSpec& spec_a,
-      const CachedProfile& b, const workflow::WorkflowSpec& spec_b,
-      std::uint32_t node) = 0;
+/// A profile lookup's result. `cache_hit` is the profile cache's
+/// hit-counter delta around the lookup: it is observable in completion
+/// records and metrics, so lookup order is part of the window-1
+/// equivalence contract.
+template <typename Profile>
+struct Resolved {
+  std::shared_ptr<const Profile> profile;
+  bool cache_hit = false;
 };
 
 /// Stateless across plans: a Replay builds one per run and counts the
-/// plans it asks for.
+/// plans it asks for. The planner also owns the node-keyed lookups the
+/// commit and preemption code use, so each lookup has one path.
 class Planner {
  public:
-  /// `config` must outlive the planner.
-  explicit Planner(const ServiceConfig& config) : config_(config) {}
+  /// `config`, `cache` and `interference` must outlive the planner.
+  Planner(const ServiceConfig& config, ProfileCache& cache,
+          InterferenceTable& interference)
+      : config_(config), cache_(cache), interference_(interference) {}
 
   /// Plans up to PlannerConfig::window steps for `window` (the first
   /// queued submissions in dispatch order) against `fleet` at `now`.
   /// Never mutates the fleet.
-  [[nodiscard]] Expected<Plan> plan(PlanResolver& resolver,
-                                    const Fleet& fleet,
+  [[nodiscard]] Expected<Plan> plan(const Fleet& fleet,
                                     std::span<const Submission* const> window,
                                     SimTime now);
+
+  /// Profile lookup against the backend of `node` (the cache's default
+  /// backend on a homogeneous fleet).
+  [[nodiscard]] Expected<Resolved<CachedProfile>> lookup_profile(
+      const workflow::WorkflowSpec& spec, std::uint32_t node);
+  /// DAG profile lookup against the backend of `node`.
+  [[nodiscard]] Expected<Resolved<CachedDagProfile>> lookup_dag_profile(
+      const dag::DagSpec& spec, std::uint32_t node);
+  /// The pack check: may a pair submission (`joiner_spec`, already
+  /// profiled on `node` as `joiner`) join `incumbent`, the sole tenant
+  /// of `node`? A DAG incumbent owns both sockets and admits nobody;
+  /// otherwise the pair must be colocation_compatible and its measured
+  /// interference on `node`'s backend feasible. Returns that measurement
+  /// (slowdown_a is the incumbent's) or nullopt when the joiner may not
+  /// pack. Looks up the incumbent's profile after the caller's joiner
+  /// lookup, which keeps each caller's cache traffic.
+  [[nodiscard]] Expected<std::optional<PairInterference>> pack_fit(
+      const Submission& incumbent, const CachedProfile& joiner,
+      const workflow::WorkflowSpec& joiner_spec, std::uint32_t node);
 
  private:
   [[nodiscard]] bool heterogeneous() const noexcept;
@@ -162,11 +172,15 @@ class Planner {
   /// window 1 resolution follows the legacy per-policy pattern and
   /// finalize() completes the winner.
   [[nodiscard]] Expected<std::vector<PlacementCandidate>> enumerate(
-      PlanResolver& resolver, const Fleet& fleet, const Submission& next,
-      SimTime now, const std::vector<bool>& consumed, bool lookahead);
+      const Fleet& fleet, const Submission& next, SimTime now,
+      const std::vector<bool>& consumed, bool lookahead);
+  /// Looks up `next`'s profile (its DAG profile for a DAG) on the
+  /// candidate's node and stores it, with its cache_hit, on `candidate`.
+  [[nodiscard]] Status resolve(const Submission& next,
+                               PlacementCandidate& candidate);
   /// Resolves whatever the window-1 winner still lacks (DAG profile;
   /// heterogeneous co-location solo profile).
-  [[nodiscard]] Status finalize(PlanResolver& resolver, const Submission& next,
+  [[nodiscard]] Status finalize(const Submission& next,
                                 PlacementCandidate& candidate);
   /// Estimated solo runtime of `next` under `candidate` (device-aware
   /// roofline from the cached profile sweep; pack-scaled).
@@ -174,6 +188,8 @@ class Planner {
       const Submission& next, const PlacementCandidate& candidate) const;
 
   const ServiceConfig& config_;
+  ProfileCache& cache_;
+  InterferenceTable& interference_;
 };
 
 /// Dual-socket nodes throughout (the paper's testbed shape).
@@ -187,15 +203,27 @@ inline constexpr std::uint32_t kSocketsPerNode = 2;
 
 [[nodiscard]] core::Placement flipped(core::Placement placement) noexcept;
 
-/// Capacity lease for one pair-workflow channel: live snapshot volume
-/// under the retention policy plus metadata growth (docs/CAPACITY.md).
-[[nodiscard]] Bytes lease_for(const capacity::ResidencyParams& params,
-                              const CachedProfile& profile,
-                              const workflow::WorkflowSpec& spec);
+/// What a channel materializes, fleet-wide (all ranks, all DAG edges):
+/// the basis of its capacity lease, its staging discount and its
+/// retained residue.
+struct ChannelVolume {
+  Bytes snapshot_bytes = 0;
+  std::uint64_t ops = 0;
+  /// At least 1.
+  std::uint32_t iterations = 1;
+};
 
-/// Same basis generalized over every DAG edge.
-[[nodiscard]] Bytes lease_for_dag(const capacity::ResidencyParams& params,
-                                  const CachedDagProfile& profile);
+/// A pair workflow's channel: the profile's per-rank numbers times the
+/// rank count (same basis as RunningTask::snapshot_bytes_per_iteration).
+[[nodiscard]] ChannelVolume channel_volume(const CachedProfile& profile,
+                                           const workflow::WorkflowSpec& spec);
+/// A DAG's channels: the profile already sums every edge and rank.
+[[nodiscard]] ChannelVolume channel_volume(const CachedDagProfile& profile);
+
+/// Capacity lease for `volume`: live snapshot volume under the
+/// retention policy plus metadata growth (docs/CAPACITY.md).
+[[nodiscard]] Bytes lease_for(const capacity::ResidencyParams& params,
+                              const ChannelVolume& volume);
 
 /// Table I configuration the configured policy would run `profile`
 /// under (fixed → recommender → colocation preferred-parallel, with
@@ -203,5 +231,11 @@ inline constexpr std::uint32_t kSocketsPerNode = 2;
 [[nodiscard]] core::DeploymentConfig planned_config(
     const ServiceConfig& config, const CachedProfile& profile,
     bool flip_placement);
+
+/// Whether a DAG runs its fused plan: kDagFusion runs the fusion-search
+/// placement, every other policy the spread baseline; either falls back
+/// to the other when its own plan does not fit the node shape.
+[[nodiscard]] bool planned_fusion(const ServiceConfig& config,
+                                  const CachedDagProfile& profile);
 
 }  // namespace pmemflow::service

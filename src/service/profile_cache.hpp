@@ -172,12 +172,6 @@ class ProfileCache {
   [[nodiscard]] Expected<CachedDagProfile> characterize_dag(
       const dag::DagSpec& spec, const devices::NodeDevices& backend) const;
 
-  /// Device fingerprint of the default backend (what plain lookup()
-  /// keys its entries under).
-  [[nodiscard]] std::uint64_t default_device_fingerprint() const noexcept {
-    return default_device_fp_;
-  }
-
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
   [[nodiscard]] std::size_t capacity() const noexcept {
     return entries_.capacity();

@@ -25,9 +25,7 @@ std::uint32_t tenants_for(const ServiceConfig& config) {
 Replay::Replay(const ServiceConfig& config, ProfileCache& cache,
                InterferenceTable& interference)
     : config_(config),
-      cache_(cache),
-      interference_(interference),
-      planner_(config),
+      planner_(config, cache, interference),
       fleet_(config.nodes, tenants_for(config)),
       queue_(config.queue_capacity, config.defer_watermark) {
   if (config.capacity.enabled()) {
@@ -53,50 +51,6 @@ std::string Replay::track_name(SlotRef ref) const {
   return fleet_.tenants_per_node() > 1
              ? format("node-%u.%u", ref.node, ref.slot)
              : format("node-%u", ref.node);
-}
-
-Expected<std::shared_ptr<const CachedProfile>> Replay::lookup_profile(
-    const workflow::WorkflowSpec& spec, std::uint32_t node) {
-  if (!heterogeneous()) return cache_.lookup(spec);
-  return cache_.lookup(spec, config_.node_specs[node].devices);
-}
-
-Expected<std::shared_ptr<const CachedDagProfile>> Replay::lookup_dag_profile(
-    const dag::DagSpec& spec, std::uint32_t node) {
-  if (!heterogeneous()) return cache_.lookup_dag(spec);
-  return cache_.lookup_dag(spec, config_.node_specs[node].devices);
-}
-
-Expected<PairInterference> Replay::lookup_interference(
-    const CachedProfile& a, const workflow::WorkflowSpec& spec_a,
-    const CachedProfile& b, const workflow::WorkflowSpec& spec_b,
-    std::uint32_t node) {
-  if (!heterogeneous()) return interference_.lookup(a, spec_a, b, spec_b);
-  return interference_.lookup(a, spec_a, b, spec_b,
-                              config_.node_specs[node].devices);
-}
-
-Expected<PlanResolver::Resolved> Replay::resolve_profile(
-    const workflow::WorkflowSpec& spec, std::uint32_t node) {
-  const std::uint64_t hits_before = cache_.stats().hits;
-  auto profile = lookup_profile(spec, node);
-  if (!profile.has_value()) return Unexpected{profile.error()};
-  return Resolved{*profile, cache_.stats().hits > hits_before};
-}
-
-Expected<PlanResolver::ResolvedDag> Replay::resolve_dag_profile(
-    const dag::DagSpec& spec, std::uint32_t node) {
-  const std::uint64_t hits_before = cache_.stats().hits;
-  auto profile = lookup_dag_profile(spec, node);
-  if (!profile.has_value()) return Unexpected{profile.error()};
-  return ResolvedDag{*profile, cache_.stats().hits > hits_before};
-}
-
-Expected<PairInterference> Replay::resolve_interference(
-    const CachedProfile& a, const workflow::WorkflowSpec& spec_a,
-    const CachedProfile& b, const workflow::WorkflowSpec& spec_b,
-    std::uint32_t node) {
-  return lookup_interference(a, spec_a, b, spec_b, node);
 }
 
 void Replay::run(std::span<const Submission> stream,
@@ -167,7 +121,7 @@ void Replay::dispatch(SimTime now) {
     const auto window = queue_.window(
         std::max<std::uint32_t>(1, config_.planner.window));
     ++plans_;
-    auto plan = planner_.plan(*this, fleet_, window, now);
+    auto plan = planner_.plan(fleet_, window, now);
     if (!plan.has_value()) {
       failure_ = plan.error();
       return;
@@ -187,27 +141,25 @@ void Replay::commit_step(const PlannedStep& step, SimTime now) {
   Submission submission = queue_.take(step.id);
   const PlacementCandidate& choice = step.candidate;
 
-  if (submission.dag != nullptr) {
-    if (!choice.dag_profile->placeable()) {
-      // No socket assignment fits this DAG's per-socket core demand
-      // on any plan: the node shape, not transient load, is the
-      // blocker, so retrying cannot help. Count it dropped (the
-      // completed + dropped == submissions invariant holds) instead
-      // of asserting in the fleet's slot accounting.
-      ++dropped_;
-      if (config_.tracer != nullptr) {
-        config_.tracer->instant(
-            "service",
-            format("unplaceable #%llu",
-                   static_cast<unsigned long long>(submission.id)),
-            now);
-      }
-      return;
+  if (submission.dag != nullptr && !choice.dag_profile->placeable()) {
+    // No socket assignment fits this DAG's per-socket core demand on
+    // any plan: the node shape, not transient load, is the blocker, so
+    // retrying cannot help. Count it dropped (the completed + dropped
+    // == submissions invariant holds) instead of asserting in the
+    // fleet's slot accounting.
+    ++dropped_;
+    if (config_.tracer != nullptr) {
+      config_.tracer->instant(
+          "service",
+          format("unplaceable #%llu",
+                 static_cast<unsigned long long>(submission.id)),
+          now);
     }
-    start_fresh_dag(choice, std::move(submission), now);
     return;
   }
 
+  // A DAG never packs and is never checkpointed (maybe_preempt skips
+  // DAG victims), so it always reaches start_fresh below.
   if (choice.packs) {
     // Charge the incumbent its measured slowdown before the joiner
     // starts: settle its solo-rate progress, stretch the rest.
@@ -274,31 +226,61 @@ void Replay::apply_interference(SlotRef ref, SimTime now, double factor) {
 
 void Replay::start_fresh(const PlacementCandidate& choice,
                          Submission submission, SimTime now) {
-  std::shared_ptr<const CachedProfile> profile = choice.profile;
-  bool cache_hit = choice.cache_hit;
-  if (profile == nullptr) {
-    // The planner only resolves profiles where the *placement* needed
-    // one; bare steps resolve here, at commit, exactly like the legacy
-    // dispatch did.
-    auto resolved = resolve_profile(submission.spec, choice.ref.node);
-    if (!resolved.has_value()) {
-      failure_ = resolved.error();
-      return;
+  // Pair work and DAGs differ only in where the runtime, the config or
+  // label, the channel volume and the lease socket come from.
+  RunningTask task;
+  SimDuration runtime = 0;
+  ChannelVolume volume;
+  std::uint32_t lease_socket = 0;
+  const char* dag_plan = nullptr;  // trace span suffix for a DAG
+  if (submission.dag != nullptr) {
+    const CachedDagProfile& profile = *choice.dag_profile;
+    // placeable() was checked before the pop.
+    const bool fuse = planned_fusion(config_, profile);
+    const dag::FusionPlan& plan = fuse ? profile.fused : profile.spread;
+    runtime = fuse ? profile.fused_runtime_ns : profile.spread_runtime_ns;
+    volume = channel_volume(profile);
+    // The lease lands on the plan's heaviest-channel socket.
+    lease_socket = plan.lease_socket;
+    dag_plan = fuse ? "dag-fused" : "dag-spread";
+    task.record.label = submission.dag->label;
+    // A chain's spread placement is exactly the P-LocR pair deployment;
+    // the record keeps the fleet's fixed config as the closest Table I
+    // description (dag/ephemeral_edges carry the real placement).
+    task.record.config = config_.fixed_config;
+    task.record.cache_hit = choice.cache_hit;
+    task.record.best_runtime_ns = profile.best_runtime_ns();
+    task.record.dag = true;
+    task.record.ephemeral_edges =
+        static_cast<std::uint32_t>(plan.ephemeral_edges);
+  } else {
+    Resolved<CachedProfile> resolved{choice.profile, choice.cache_hit};
+    if (resolved.profile == nullptr) {
+      // The planner only resolves profiles where the *placement* needed
+      // one; bare steps resolve here, at commit, exactly like the legacy
+      // dispatch did.
+      auto looked_up = planner_.lookup_profile(submission.spec,
+                                               choice.ref.node);
+      if (!looked_up.has_value()) {
+        failure_ = looked_up.error();
+        return;
+      }
+      resolved = std::move(*looked_up);
     }
-    profile = resolved->profile;
-    cache_hit = resolved->cache_hit;
+    const CachedProfile& profile = *resolved.profile;
+    const core::DeploymentConfig chosen =
+        planned_config(config_, profile, choice.flip_placement);
+    runtime = profile.runtime_ns[config_index(chosen)];
+    volume = channel_volume(profile, submission.spec);
+    lease_socket = channel_socket_of(chosen);
+    task.record.label = submission.spec.label;
+    task.record.config = chosen;
+    task.record.cache_hit = resolved.cache_hit;
+    task.record.best_runtime_ns = profile.best_runtime_ns();
   }
 
-  const core::DeploymentConfig chosen =
-      planned_config(config_, *profile, choice.flip_placement);
-  SimDuration runtime = profile->runtime_ns[config_index(chosen)];
-
-  // Snapshot basis: the channel materializes every rank's part each
-  // iteration; the profile's bytes_per_iteration is one rank's share.
-  const Bytes snapshot =
-      profile->profile.simulation.bytes_per_iteration * submission.spec.ranks;
-  const auto iterations =
-      std::max<std::uint32_t>(1, submission.spec.iterations);
+  const Bytes snapshot = volume.snapshot_bytes;
+  const std::uint32_t iterations = volume.iterations;
   if (capacity_on() && config_.capacity.staging.enabled() && snapshot != 0 &&
       snapshot <= config_.capacity.staging.stage_bytes) {
     // An iteration's snapshot fits the DRAM staging tier: writes land
@@ -316,17 +298,12 @@ void Replay::start_fresh(const PlacementCandidate& choice,
     stage_hits_ += iterations;
   }
 
-  RunningTask task;
   task.record.id = submission.id;
-  task.record.label = submission.spec.label;
   task.record.priority = submission.priority;
   task.record.node = choice.ref.node;
   task.record.slot = choice.ref.slot;
-  task.record.config = chosen;
-  task.record.cache_hit = cache_hit;
   task.record.arrival_ns = submission.arrival_ns;
   task.record.start_ns = now;
-  task.record.best_runtime_ns = profile->best_runtime_ns();
   task.record.config_runtime_ns = runtime;
   task.remaining_ns = runtime;
   task.interference = choice.factor;
@@ -338,13 +315,12 @@ void Replay::start_fresh(const PlacementCandidate& choice,
   if (capacity_on()) {
     // Every policy pays for residency once the model is on; only
     // kCapacityAware *places* with it. The lease was sized during
-    // capacity-aware ranking; blind policies size it here.
-    const std::uint32_t socket = channel_socket_of(chosen);
-    const Bytes lease =
-        choice.lease_bytes != 0
-            ? choice.lease_bytes
-            : lease_for(config_.capacity, *profile, submission.spec);
-    capacity_overhead = charge_lease(task, choice.ref.node, socket, lease);
+    // capacity-aware ranking; everything else sizes it here.
+    const Bytes lease = choice.lease_bytes != 0
+                            ? choice.lease_bytes
+                            : lease_for(config_.capacity, volume);
+    capacity_overhead =
+        charge_lease(task, choice.ref.node, lease_socket, lease);
     const capacity::RetentionParams& retention = config_.capacity.retention;
     // Residue left cold at finish: without GC the whole version volume
     // lingers; with retain-k GC only the retained window does.
@@ -365,100 +341,18 @@ void Replay::start_fresh(const PlacementCandidate& choice,
   task.submission = std::move(submission);
 
   if (config_.tracer != nullptr) {
-    config_.tracer->begin(track_name(choice.ref),
-                          format("%s [%s]", task.record.label.c_str(),
-                                 chosen.label().c_str()),
-                          now);
+    config_.tracer->begin(
+        track_name(choice.ref),
+        format("%s [%s]", task.record.label.c_str(),
+               dag_plan != nullptr ? dag_plan
+                                   : task.record.config.label().c_str()),
+        now);
   }
   const SimDuration work_wall = interference_scaled(runtime, choice.factor);
   if (choice.packs) {
     interference_delta_ns_ += static_cast<std::int64_t>(work_wall - runtime);
   }
   launch(choice.ref, capacity_overhead + work_wall, std::move(task), now);
-}
-
-void Replay::start_fresh_dag(const PlacementCandidate& choice,
-                             Submission submission, SimTime now) {
-  const std::shared_ptr<const CachedDagProfile>& profile = choice.dag_profile;
-  // Plan selection: kDagFusion runs the fusion-search placement, every
-  // other policy the spread baseline; either falls back to the other
-  // when its own plan does not fit this node shape (placeable() was
-  // checked before the pop).
-  const bool fuse = config_.policy == PlacementPolicy::kDagFusion
-                        ? profile->fused_feasible
-                        : !profile->spread_feasible;
-  const dag::FusionPlan& plan = fuse ? profile->fused : profile->spread;
-  SimDuration runtime =
-      fuse ? profile->fused_runtime_ns : profile->spread_runtime_ns;
-
-  const Bytes snapshot = profile->bytes_per_iteration;
-  const auto iterations = std::max<std::uint32_t>(1, profile->iterations);
-  if (capacity_on() && config_.capacity.staging.enabled() && snapshot != 0 &&
-      snapshot <= config_.capacity.staging.stage_bytes) {
-    // Same staging discount as the pair path, over the summed per-edge
-    // snapshot volume.
-    const SimDuration drain =
-        transfer_time(snapshot, config_.capacity.staging.drain_write_bw);
-    const SimDuration dram =
-        transfer_time(snapshot, config_.capacity.staging.dram_write_bw);
-    SimDuration saving = drain > dram ? (drain - dram) * iterations : 0;
-    saving = std::min(saving, runtime / 2);
-    runtime -= saving;
-    stage_hits_ += iterations;
-  }
-
-  RunningTask task;
-  task.record.id = submission.id;
-  task.record.label = submission.dag->label;
-  task.record.priority = submission.priority;
-  task.record.node = choice.ref.node;
-  task.record.slot = choice.ref.slot;
-  // A chain's spread placement is exactly the P-LocR pair deployment;
-  // the record keeps the fleet's fixed config as the closest Table I
-  // description (dag/ephemeral_edges carry the real placement).
-  task.record.config = config_.fixed_config;
-  task.record.cache_hit = choice.cache_hit;
-  task.record.arrival_ns = submission.arrival_ns;
-  task.record.start_ns = now;
-  task.record.best_runtime_ns = profile->best_runtime_ns();
-  task.record.config_runtime_ns = runtime;
-  task.record.dag = true;
-  task.record.ephemeral_edges =
-      static_cast<std::uint32_t>(plan.ephemeral_edges);
-  task.remaining_ns = runtime;
-  task.snapshot_bytes_per_iteration = snapshot;
-  task.iterations = iterations;
-
-  SimDuration capacity_overhead = 0;
-  if (capacity_on()) {
-    // The lease lands on the plan's heaviest-channel socket.
-    const Bytes lease = lease_for_dag(config_.capacity, *profile);
-    capacity_overhead =
-        charge_lease(task, choice.ref.node, plan.lease_socket, lease);
-    const capacity::RetentionParams& retention = config_.capacity.retention;
-    task.cold_bytes =
-        !retention.gc
-            ? task.lease_bytes
-            : (retention.enabled()
-                   ? std::min(task.lease_bytes,
-                              capacity::retained_bytes(snapshot, iterations,
-                                                       retention))
-                   : Bytes{0});
-    task.gc_bytes =
-        retention.gc
-            ? capacity::gc_reclaimable_bytes(snapshot, iterations, retention)
-            : Bytes{0};
-  }
-  task.segment_overhead_ns = capacity_overhead;
-  task.submission = std::move(submission);
-
-  if (config_.tracer != nullptr) {
-    config_.tracer->begin(track_name(choice.ref),
-                          format("%s [%s]", task.record.label.c_str(),
-                                 fuse ? "dag-fused" : "dag-spread"),
-                          now);
-  }
-  launch(choice.ref, capacity_overhead + runtime, std::move(task), now);
 }
 
 void Replay::resume_checkpointed(const PlacementCandidate& choice,
@@ -557,41 +451,23 @@ void Replay::on_finish(SlotRef ref) {
   dispatch(finish);
 }
 
-bool Replay::victim_frees_usable_slot(SlotRef victim, SimTime now) {
+Expected<bool> Replay::frees_slot_for_head(SlotRef victim, SimTime now) {
   // Preempting only helps the urgent head if the victim's slot is
   // actually usable afterwards: the node must end up empty (modulo the
-  // drain) or keep a co-tenant the urgent is allowed to pack with.
+  // drain) or keep a co-tenant the head may pack with.
+  const Submission& head = queue_.front();
   for (std::uint32_t s = 0; s < fleet_.tenants_per_node(); ++s) {
     if (s == victim.slot) continue;
     const SlotState& other = fleet_.node(victim.node).slots[s];
     if (other.running.has_value()) {
-      // An urgent DAG needs the whole node, and a DAG co-tenant never
-      // admits a packer: either way the freed slot is unusable.
-      if (queue_.front().dag != nullptr) return false;
-      if (other.running->submission.dag != nullptr) return false;
-      auto urgent_profile = lookup_profile(queue_.front().spec, victim.node);
-      if (!urgent_profile.has_value()) {
-        failure_ = urgent_profile.error();
-        return false;
-      }
-      auto co_profile =
-          lookup_profile(other.running->submission.spec, victim.node);
-      if (!co_profile.has_value()) {
-        failure_ = co_profile.error();
-        return false;
-      }
-      if (!colocation_compatible(**co_profile, **urgent_profile,
-                                 config_.colocation)) {
-        return false;
-      }
-      auto pair = lookup_interference(
-          **co_profile, other.running->submission.spec, **urgent_profile,
-          queue_.front().spec, victim.node);
-      if (!pair.has_value()) {
-        failure_ = pair.error();
-        return false;
-      }
-      if (!pair->feasible) return false;
+      // An urgent DAG needs the whole node.
+      if (head.dag != nullptr) return false;
+      auto joiner = planner_.lookup_profile(head.spec, victim.node);
+      if (!joiner.has_value()) return Unexpected{joiner.error()};
+      auto fit = planner_.pack_fit(other.running->submission,
+                                   *joiner->profile, head.spec, victim.node);
+      if (!fit.has_value()) return Unexpected{fit.error()};
+      if (!fit->has_value()) return false;
     } else if (other.free_at_ns > now) {
       return false;  // another drain holds the mirrored sockets
     }
@@ -639,10 +515,13 @@ void Replay::maybe_preempt(SimTime now) {
       // A DAG's in-flight state spans several channels on both sockets;
       // the single-snapshot checkpoint model does not cover it.
       if (task->submission.dag != nullptr) continue;
-      if (config_.policy == PlacementPolicy::kColocationAware &&
-          !victim_frees_usable_slot(ref, now)) {
-        if (failure_.has_value()) return;
-        continue;
+      if (config_.policy == PlacementPolicy::kColocationAware) {
+        const Expected<bool> usable = frees_slot_for_head(ref, now);
+        if (!usable.has_value()) {
+          failure_ = usable.error();
+          return;
+        }
+        if (!*usable) continue;
       }
       const SimDuration remaining = fleet_.remaining_work_at(ref, now);
       const Bytes snapshot = task->snapshot_bytes(remaining);

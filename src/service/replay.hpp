@@ -3,10 +3,12 @@
 //
 // Replay holds everything OnlineScheduler::run() mutates while it
 // drains one stream — event queue, fleet, submission queue,
-// checkpoints, counters — and borrows the scheduler's ProfileCache and
-// InterferenceTable, which persist across runs, and the caller's
-// submission stream. Each run() builds one Replay, runs it over the
-// stream and reads its results.
+// checkpoints, counters — and the caller's submission stream. Its
+// Planner borrows the scheduler's ProfileCache and InterferenceTable,
+// which persist across runs, and is the replay's one path to them:
+// commit and preemption use the planner's lookups and pack check.
+// Fresh pair and DAG work start through one start_fresh. Each run()
+// builds one Replay, runs it over the stream and reads its results.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +29,7 @@
 
 namespace pmemflow::service {
 
-class Replay : public PlanResolver {
+class Replay {
  public:
   /// `cache` and `interference` must outlive the replay.
   Replay(const ServiceConfig& config, ProfileCache& cache,
@@ -75,22 +77,6 @@ class Replay : public PlanResolver {
     return interference_delta_ns_;
   }
 
-  // -- PlanResolver (the planner's view of the caches) --
-
-  /// Profile lookup against the backend of `node` (the cache's default
-  /// backend on a homogeneous fleet). `cache_hit` is the profile
-  /// cache's hit-counter delta around the lookup.
-  [[nodiscard]] Expected<Resolved> resolve_profile(
-      const workflow::WorkflowSpec& spec, std::uint32_t node) override;
-  /// DAG profile lookup against the backend of `node`.
-  [[nodiscard]] Expected<ResolvedDag> resolve_dag_profile(
-      const dag::DagSpec& spec, std::uint32_t node) override;
-  /// Interference lookup measured on the backend of `node`.
-  [[nodiscard]] Expected<PairInterference> resolve_interference(
-      const CachedProfile& a, const workflow::WorkflowSpec& spec_a,
-      const CachedProfile& b, const workflow::WorkflowSpec& spec_b,
-      std::uint32_t node) override;
-
  private:
   /// Checkpointed state of a preempted victim waiting in the queue.
   struct ResumeState {
@@ -107,23 +93,6 @@ class Replay : public PlanResolver {
     return config_.capacity.enabled();
   }
   [[nodiscard]] std::string track_name(SlotRef ref) const;
-  /// True when the fleet mixes memory backends (node_specs provided).
-  [[nodiscard]] bool heterogeneous() const noexcept {
-    return !config_.node_specs.empty();
-  }
-  /// Profile lookup against the backend of `node` (the cache's default
-  /// backend on a homogeneous fleet).
-  [[nodiscard]] Expected<std::shared_ptr<const CachedProfile>> lookup_profile(
-      const workflow::WorkflowSpec& spec, std::uint32_t node);
-  /// DAG profile lookup against the backend of `node`.
-  [[nodiscard]] Expected<std::shared_ptr<const CachedDagProfile>>
-  lookup_dag_profile(const dag::DagSpec& spec, std::uint32_t node);
-  /// Interference lookup measured on the backend of `node`.
-  [[nodiscard]] Expected<PairInterference> lookup_interference(
-      const CachedProfile& a, const workflow::WorkflowSpec& spec_a,
-      const CachedProfile& b, const workflow::WorkflowSpec& spec_b,
-      std::uint32_t node);
-
   /// One arrival path for fresh submissions and deferred/rejected
   /// retries of `stream_[index]`.
   void arrive(std::uint32_t index, std::uint32_t attempt, SimTime now);
@@ -139,12 +108,15 @@ class Replay : public PlanResolver {
   SimDuration charge_lease(RunningTask& task, std::uint32_t node,
                            std::uint32_t socket, Bytes lease);
   void apply_interference(SlotRef ref, SimTime now, double factor);
-  bool victim_frees_usable_slot(SlotRef victim, SimTime now);
+  /// Whether preempting `victim` leaves the urgent queue head a usable
+  /// slot: the node ends up empty (modulo the drain) or keeps a
+  /// co-tenant the head may pack with (Planner::pack_fit).
+  [[nodiscard]] Expected<bool> frees_slot_for_head(SlotRef victim,
+                                                   SimTime now);
   void maybe_preempt(SimTime now);
+  /// Starts a planned pair or DAG submission that holds no checkpoint.
   void start_fresh(const PlacementCandidate& choice, Submission submission,
                    SimTime now);
-  void start_fresh_dag(const PlacementCandidate& choice,
-                       Submission submission, SimTime now);
   void resume_checkpointed(const PlacementCandidate& choice,
                            Submission submission, ResumeState state,
                            SimTime now);
@@ -152,8 +124,7 @@ class Replay : public PlanResolver {
   void on_finish(SlotRef ref);
 
   const ServiceConfig& config_;
-  ProfileCache& cache_;
-  InterferenceTable& interference_;
+  /// Also the one path to the profile cache and interference table.
   Planner planner_;
   sim::EventQueue events_;
   std::span<const Submission> stream_;

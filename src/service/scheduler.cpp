@@ -91,19 +91,23 @@ Expected<ServiceResult> OnlineScheduler::run(
   }
   const capacity::ResidencyTracker& residency = fleet.residency();
 
-  result.metrics = aggregate_metrics(
-      result.completions, makespan, utilization, replay.queue().stats(),
-      cache_.stats() - cache_before, replay.retries(), replay.dropped(),
-      replay.colocations(),
-      static_cast<SimDuration>(
-          std::max<std::int64_t>(0, replay.interference_delta_ns())),
-      residency.stats().evictions, residency.stats().gc_bytes,
-      replay.stage_hits(), residency.residency_high_water());
-  result.metrics.des_events = replay.des_events();
-  result.metrics.allocator = allocator_counters() - counters_before;
-  result.metrics.planner_window = std::max<std::uint32_t>(
-      1, config_.planner.window);
-  result.metrics.plans = replay.plans();
+  ServiceMetrics& metrics = result.metrics;
+  metrics = aggregate_metrics(result.completions, makespan, utilization);
+  metrics.admission = replay.queue().stats();
+  metrics.cache = cache_.stats() - cache_before;
+  metrics.retries = replay.retries();
+  metrics.dropped = replay.dropped();
+  metrics.colocations = replay.colocations();
+  metrics.interference_overhead_ns = static_cast<SimDuration>(
+      std::max<std::int64_t>(0, replay.interference_delta_ns()));
+  metrics.evictions = residency.stats().evictions;
+  metrics.gc_bytes = residency.stats().gc_bytes;
+  metrics.stage_hits = replay.stage_hits();
+  metrics.residency_high_water = residency.residency_high_water();
+  metrics.des_events = replay.des_events();
+  metrics.allocator = allocator_counters() - counters_before;
+  metrics.planner_window = std::max<std::uint32_t>(1, config_.planner.window);
+  metrics.plans = replay.plans();
   return result;
 }
 

@@ -15,8 +15,7 @@ namespace {
 
 ServiceMetrics empty_run_metrics() {
   return aggregate_metrics(/*records=*/{}, /*makespan_ns=*/0,
-                           /*node_utilization=*/{0.0, 0.0}, QueueStats{},
-                           CacheStats{}, /*retries=*/0, /*dropped=*/0);
+                           /*node_utilization=*/{0.0, 0.0});
 }
 
 void expect_finite(const metrics::SummaryStats& stats, const char* what) {

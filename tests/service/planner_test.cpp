@@ -12,6 +12,7 @@
 #include "devices/registry.hpp"
 #include "service/arrivals.hpp"
 #include "service/scheduler.hpp"
+#include "workloads/synthetic.hpp"
 
 namespace pmemflow::service {
 namespace {
@@ -287,6 +288,219 @@ TEST(PlannerCache, SteadyStateTwinRunReplaysItsPlans) {
   EXPECT_EQ(schedule_fingerprint(*first), schedule_fingerprint(*second));
   // Metrics are per-run: the rerun plans exactly as often as the first.
   EXPECT_EQ(first->metrics.plans, second->metrics.plans);
+}
+
+// Cross-feature pins. The golden block above fingerprints the schedule
+// alone and runs one feature at a time. These scenarios combine the
+// paths that share placement code (DAGs with capacity and staging,
+// co-location with preemption, co-location and lookahead routing on a
+// heterogeneous fleet) and also hash the planner's cache traffic: each
+// record's cache_hit and the run's cache, co-location, interference,
+// residency and staging counters. The pins were recorded before the
+// service's placement lookups, DAG start, lease and pack check were
+// folded into one function each; a moved pin means a changed schedule
+// or changed cache traffic.
+
+std::uint64_t traffic_fingerprint(const ServiceResult& result) {
+  Hasher64 hasher;
+  hasher.update_u64(schedule_fingerprint(result));
+  for (const auto& r : result.completions) hasher.update_bool(r.cache_hit);
+  const ServiceMetrics& m = result.metrics;
+  hasher.update_u64(m.cache.hits);
+  hasher.update_u64(m.cache.misses);
+  hasher.update_u64(m.cache.evictions);
+  hasher.update_u64(m.colocations);
+  hasher.update_u64(m.interference_overhead_ns);
+  hasher.update_u64(m.evictions);
+  hasher.update_u64(m.gc_bytes);
+  hasher.update_u64(m.stage_hits);
+  hasher.update_u64(m.residency_high_water);
+  return hasher.digest();
+}
+
+/// One simulation feeding two analytics consumers (the fan-out shape of
+/// examples/dags/fanout_analytics.dag, scaled down): dag-fusion makes
+/// one of its edges ephemeral.
+std::shared_ptr<const dag::DagSpec> fanout_dag() {
+  auto spec = dag::parse(
+      "# pmemflow-dag v1\n"
+      "dag label=fanout iterations=4 verify_reads=1\n"
+      "component name=sim ranks=8 object_size=4194304 objects_per_rank=8 "
+      "compute_ns=25000000 analytics_ns_per_object=0 seed=1\n"
+      "component name=stats ranks=8 object_size=1048576 objects_per_rank=4 "
+      "compute_ns=0 analytics_ns_per_object=40000 seed=1\n"
+      "component name=viz ranks=8 object_size=1048576 objects_per_rank=4 "
+      "compute_ns=0 analytics_ns_per_object=25000 seed=1\n"
+      "edge producer=sim consumer=stats stack=nvstream capacity=4\n"
+      "edge producer=sim consumer=viz stack=nvstream capacity=4\n");
+  EXPECT_TRUE(spec.has_value()) << spec.error().message;
+  return std::make_shared<const dag::DagSpec>(std::move(*spec));
+}
+
+/// The golden stream with every third submission turned into a DAG,
+/// alternating the fan-out and the chain.
+std::vector<Submission> mixed_dag_stream() {
+  auto stream = make_submission_stream(golden_stream_params());
+  EXPECT_TRUE(stream.has_value());
+  const std::shared_ptr<const dag::DagSpec> dags[] = {fanout_dag(),
+                                                      golden_chain_dag()};
+  for (std::size_t i = 0; i < stream->size(); i += 3) {
+    (*stream)[i].dag = dags[(i / 3) % 2];
+    (*stream)[i].spec = workflow::WorkflowSpec{};
+  }
+  return *stream;
+}
+
+/// The write-heavy / read-heavy straddle classes of colocation_test.cpp:
+/// opposite I/O orientations, so they may pack.
+workflow::WorkflowSpec straddle_class(bool write_heavy) {
+  workloads::SyntheticSimulation::Params sim;
+  sim.object_size = 8 * kMiB;
+  sim.objects_per_rank = 6;
+  sim.compute_ns = write_heavy ? 0.0 : 2.5e7;
+  sim.name = write_heavy ? "wh-sim" : "rh-sim";
+  workloads::SyntheticAnalytics::Params analytics;
+  analytics.compute_ns_per_object = write_heavy ? 1.0e6 : 0.0;
+  analytics.name = write_heavy ? "wh-ana" : "rh-ana";
+  auto spec = workloads::make_synthetic_workflow(sim, analytics, /*ranks=*/8,
+                                                 /*iterations=*/2);
+  spec.label = write_heavy ? "write-heavy" : "read-heavy";
+  return spec;
+}
+
+/// Alternating straddle classes `gap_ns` apart; every `urgent_every`-th
+/// submission is urgent and the rest are batch (0 = all normal).
+std::vector<Submission> straddle_stream(std::uint64_t count, SimDuration gap_ns,
+                                        std::uint64_t urgent_every) {
+  std::vector<Submission> stream;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    Submission submission;
+    submission.id = i;
+    submission.spec = straddle_class(i % 2 == 0);
+    submission.arrival_ns = static_cast<SimTime>(i) * gap_ns;
+    if (urgent_every != 0) {
+      submission.priority = i % urgent_every == urgent_every - 1
+                                ? Priority::kUrgent
+                                : Priority::kBatch;
+    }
+    stream.push_back(std::move(submission));
+  }
+  return stream;
+}
+
+struct CrossScenario {
+  const char* name;
+  ServiceConfig config;
+  std::vector<Submission> stream;
+  std::uint64_t pin;
+  // Paths the scenario exists to exercise; each must be reached.
+  bool dags = false;
+  bool stages = false;
+  bool evicts = false;
+  bool packs = false;
+  bool preempts = false;
+};
+
+std::vector<CrossScenario> cross_scenarios() {
+  std::vector<CrossScenario> scenarios;
+  {
+    CrossScenario s{"dag-fusion-capacity-staging",
+                    golden_config(PlacementPolicy::kDagFusion),
+                    mixed_dag_stream(),
+                    0x0e5bc27cea6e7987ULL};
+    s.config.capacity.pmem_per_socket = static_cast<Bytes>(4e9);
+    s.config.capacity.staging.stage_bytes = static_cast<Bytes>(1e9);
+    s.config.capacity.retention.retain_versions = 2;
+    s.dags = s.stages = s.evicts = true;
+    scenarios.push_back(std::move(s));
+  }
+  {
+    CrossScenario s{"spread-dag-capacity",
+                    golden_config(PlacementPolicy::kLeastLoaded),
+                    mixed_dag_stream(),
+                    0xe5c3a3b41405a11dULL};
+    s.config.capacity.pmem_per_socket = static_cast<Bytes>(4e9);
+    // Without GC every version stays resident until the channel ends.
+    s.config.capacity.retention.retain_versions = 2;
+    s.config.capacity.retention.gc = false;
+    s.dags = s.evicts = true;
+    scenarios.push_back(std::move(s));
+  }
+  {
+    CrossScenario s{"capacity-aware-staging",
+                    golden_config(PlacementPolicy::kCapacityAware),
+                    golden_stream(scenario_named("capacity")),
+                    0x70a9ef3f5c35eb4cULL};
+    s.config.capacity.pmem_per_socket = static_cast<Bytes>(6e9);
+    s.config.capacity.staging.stage_bytes = static_cast<Bytes>(1e9);
+    s.config.capacity.retention.retain_versions = 2;
+    s.stages = s.evicts = true;
+    scenarios.push_back(std::move(s));
+  }
+  {
+    CrossScenario s{"colocation-preemption",
+                    golden_config(PlacementPolicy::kColocationAware),
+                    straddle_stream(60, 20 * kMillisecond, 5),
+                    0x04e028591b3be303ULL};
+    s.config.nodes = 2;
+    s.config.preemption = PreemptionPolicy::kCheckpointRestore;
+    // At the default Optane rates a checkpoint of these short classes
+    // never pays for itself; a fast checkpoint tier makes it pay.
+    s.config.checkpoint.checkpoint_write_bw = gbps(100.0);
+    s.config.checkpoint.restore_read_bw = gbps(100.0);
+    s.packs = s.preempts = true;
+    scenarios.push_back(std::move(s));
+  }
+  {
+    CrossScenario s{"colocation-hetero",
+                    golden_config(PlacementPolicy::kColocationAware),
+                    straddle_stream(40, 2 * kMillisecond, 0),
+                    0x116d9732a5846994ULL};
+    s.config.nodes = 3;
+    s.config.node_specs = golden_hetero_specs(s.config.nodes);
+    s.packs = true;
+    scenarios.push_back(std::move(s));
+  }
+  {
+    CrossScenario s{"recommender-hetero-window4",
+                    golden_config(PlacementPolicy::kRecommenderAware),
+                    golden_stream(scenario_named("recommender")),
+                    0xd6b7c2e988d0ac53ULL};
+    s.config.node_specs = golden_hetero_specs(s.config.nodes);
+    s.config.planner.window = 4;
+    scenarios.push_back(std::move(s));
+  }
+  return scenarios;
+}
+
+TEST(PlannerCrossFeature, SchedulesAndCacheTrafficMatchTheirPins) {
+  for (const CrossScenario& scenario : cross_scenarios()) {
+    auto result = OnlineScheduler(scenario.config).run(scenario.stream);
+    ASSERT_TRUE(result.has_value())
+        << scenario.name << ": " << result.error().message;
+    const std::uint64_t fingerprint = traffic_fingerprint(*result);
+    EXPECT_EQ(fingerprint, scenario.pin)
+        << scenario.name << ": actual fingerprint 0x" << std::hex
+        << fingerprint;
+    const ServiceMetrics& m = result->metrics;
+    EXPECT_EQ(m.completed + m.dropped, scenario.stream.size())
+        << scenario.name;
+    if (scenario.dags) {
+      EXPECT_GT(m.dag_completed, 0u) << scenario.name;
+    }
+    if (scenario.stages) {
+      EXPECT_GT(m.stage_hits, 0u) << scenario.name;
+    }
+    if (scenario.evicts) {
+      EXPECT_GT(m.evictions, 0u) << scenario.name;
+    }
+    if (scenario.packs) {
+      EXPECT_GT(m.colocations, 0u) << scenario.name;
+    }
+    if (scenario.preempts) {
+      EXPECT_GT(m.preemptions, 0u) << scenario.name;
+    }
+  }
 }
 
 }  // namespace
