@@ -13,6 +13,7 @@
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "core/executor.hpp"
+#include "devices/registry.hpp"
 #include "metrics/report.hpp"
 #include "workloads/suite.hpp"
 
@@ -21,32 +22,31 @@ namespace {
 
 struct Variant {
   const char* name;
-  pmemsim::OptaneParams optane;
-  interconnect::UpiParams upi;
+  devices::DeviceSpec spec;
 };
 
 std::vector<Variant> variants() {
   std::vector<Variant> out;
-  out.push_back({"full model", {}, {}});
+  out.push_back({"full model", {}});
 
-  Variant no_remote_collapse{"no remote-write collapse", {}, {}};
-  no_remote_collapse.upi.write_contention_slope = 0.0;
+  Variant no_remote_collapse{"no remote-write collapse", {}};
+  no_remote_collapse.spec.upi.write_contention_slope = 0.0;
   out.push_back(no_remote_collapse);
 
-  Variant no_small_thrash{"no small-access thrash", {}, {}};
-  no_small_thrash.optane.small_access_coeff = 0.0;
+  Variant no_small_thrash{"no small-access thrash", {}};
+  no_small_thrash.spec.optane.small_access_coeff = 0.0;
   out.push_back(no_small_thrash);
 
-  Variant no_cache_thrash{"no internal-cache thrash", {}, {}};
-  no_cache_thrash.optane.cache_thrash_coeff = 0.0;
+  Variant no_cache_thrash{"no internal-cache thrash", {}};
+  no_cache_thrash.spec.optane.cache_thrash_coeff = 0.0;
   out.push_back(no_cache_thrash);
 
-  Variant no_mixed{"no mixed-traffic interference", {}, {}};
-  no_mixed.optane.mixed_interference = 0.0;
+  Variant no_mixed{"no mixed-traffic interference", {}};
+  no_mixed.spec.optane.mixed_interference = 0.0;
   out.push_back(no_mixed);
 
-  Variant no_write_decline{"no write decline past 8 threads", {}, {}};
-  no_write_decline.optane.write_decline_per_thread = 0.0;
+  Variant no_write_decline{"no write decline past 8 threads", {}};
+  no_write_decline.spec.optane.write_decline_per_thread = 0.0;
   out.push_back(no_write_decline);
   return out;
 }
@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
                      Align::kLeft});
     for (const auto& variant : variants()) {
       core::Executor executor{
-          workflow::Runner({}, variant.optane, variant.upi)};
+          workflow::Runner({}, devices::NodeDevices(variant.spec))};
       const auto spec =
           workloads::make_workflow(sentinel.family, sentinel.ranks);
       auto sweep = executor.sweep(spec);

@@ -6,7 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include "core/executor.hpp"
-#include "devices/optane_device.hpp"
+#include "devices/memory_device.hpp"
 #include "pmemsim/allocator.hpp"
 #include "sim/engine.hpp"
 #include "sim/task.hpp"
@@ -75,7 +75,7 @@ BENCHMARK(BM_AllocatorFixedPoint)->Arg(8)->Arg(16)->Arg(48);
 void BM_NvStreamWriteReadCycle(benchmark::State& state) {
   for (auto _ : state) {
     sim::Engine engine;
-    devices::OptaneDevice device(engine, 0, 1 * kGiB);
+    devices::MemoryDevice device(engine, 0, 1 * kGiB);
     stack::NvStreamChannel channel(device, "bench", 1);
     auto worker = [&]() -> sim::Task {
       std::vector<stack::ObjectData> objects;

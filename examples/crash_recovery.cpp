@@ -13,7 +13,7 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "devices/optane_device.hpp"
+#include "devices/memory_device.hpp"
 #include "sim/task.hpp"
 #include "stack/nvstream.hpp"
 
@@ -21,7 +21,7 @@ int main() {
   using namespace pmemflow;
 
   sim::Engine engine;
-  devices::OptaneDevice device(engine, /*socket=*/0, 8ULL * kGiB);
+  devices::MemoryDevice device(engine, /*socket=*/0, 8ULL * kGiB);
   stack::NvStreamChannel channel(device, "checkpoints", /*num_ranks=*/2);
 
   const auto make_objects = [](std::uint64_t seed) {

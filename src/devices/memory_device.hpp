@@ -1,25 +1,19 @@
-// Pluggable memory-backend abstraction.
+// One socket's memory backend, built from its DeviceSpec.
 //
 // A MemoryDevice couples a functional PmemSpace (real bytes, sparse)
-// with a fluid-flow FlowResource whose rates come from the backend's
-// bandwidth model. Storage stacks call `io()` to charge simulated
-// transfer time and use `space()` to actually move bytes — the same
-// contract pmemsim::OptaneDevice used to expose, now independent of
-// which memory technology sits underneath.
+// with a fluid-flow FlowResource whose rates come from the spec's
+// effective-bandwidth curves (DeviceSpec::bandwidth_model). Storage
+// stacks call `io()` to charge simulated transfer time and use
+// `space()` to actually move bytes.
 //
-// The timing/placement surface a backend must provide:
-//   - a locality model (`locality_of`): how an access issued from a
-//     given socket is classified. Optane keeps the local/remote binary;
-//     a CXL-attached backend reports uniform access from every socket.
-//   - `io()` flow charging: awaitable transfer through the backend's
-//     FlowResource, with the locality stamped by the device (not the
-//     caller — the device owns its own distance model).
-//   - a functional space and cumulative flow stats.
-//
-// Implementations live next to this header (OptaneDevice, DramDevice,
-// CxlDevice); named parameter presets live in devices/registry.hpp.
+// Every backend kind is this one class: the spec decides the curves
+// and whether locality is socket-uniform. Optane keeps the paper's
+// local/remote binary (an access from the other socket crosses UPI);
+// DRAM- and CXL-like backends report every socket as local. Named
+// parameter presets live in devices/registry.hpp.
 #pragma once
 
+#include "devices/device_spec.hpp"
 #include "pmemsim/allocator.hpp"
 #include "pmemsim/space.hpp"
 #include "sim/engine.hpp"
@@ -30,48 +24,55 @@ namespace pmemflow::devices {
 
 class MemoryDevice {
  public:
-  MemoryDevice() = default;
+  /// Creates the device `spec` describes, attached to `socket`, with a
+  /// backing space of `space_bytes` (the caller resolves
+  /// `spec.capacity_or`).
+  MemoryDevice(sim::Engine& engine, topo::SocketId socket, Bytes space_bytes,
+               const DeviceSpec& spec = {});
   MemoryDevice(const MemoryDevice&) = delete;
   MemoryDevice& operator=(const MemoryDevice&) = delete;
-  virtual ~MemoryDevice() = default;
 
-  /// Short technology tag ("optane", "dram", "cxl").
-  [[nodiscard]] virtual const char* kind_name() const noexcept = 0;
+  /// Socket the device is attached to (for a uniform-locality backend
+  /// this is only the attachment point).
+  [[nodiscard]] topo::SocketId socket() const noexcept { return socket_; }
 
-  /// Socket the device is attached to (for CXL-like backends this is
-  /// only the attachment point; access cost is socket-uniform).
-  [[nodiscard]] virtual topo::SocketId socket() const noexcept = 0;
+  [[nodiscard]] pmemsim::PmemSpace& space() noexcept { return space_; }
+  [[nodiscard]] const pmemsim::PmemSpace& space() const noexcept {
+    return space_;
+  }
+  [[nodiscard]] const sim::FlowResourceStats& stats() const noexcept {
+    return resource_.stats();
+  }
 
-  [[nodiscard]] virtual pmemsim::PmemSpace& space() noexcept = 0;
-  [[nodiscard]] virtual const pmemsim::PmemSpace& space() const noexcept = 0;
-  [[nodiscard]] virtual sim::Engine& engine() noexcept = 0;
-  [[nodiscard]] virtual const sim::FlowResourceStats& stats()
-      const noexcept = 0;
-
-  /// Locality class of an access issued from `from_socket`. This is the
-  /// device's distance model: OptaneDevice returns the local/remote
-  /// binary, CxlDevice reports every socket as local (uniform access).
-  [[nodiscard]] virtual sim::Locality locality_of(
-      topo::SocketId from_socket) const noexcept = 0;
+  /// Locality class of an access issued from `from_socket`: local from
+  /// every socket on a uniform-locality backend, else only from the
+  /// attachment socket.
+  [[nodiscard]] sim::Locality locality_of(
+      topo::SocketId from_socket) const noexcept {
+    return uniform_ || from_socket == socket_ ? sim::Locality::kLocal
+                                              : sim::Locality::kRemote;
+  }
 
   /// Charges simulated time for an aggregated I/O phase: `spec.locality`
   /// is overwritten from the device's locality model. Awaitable.
   auto io(topo::SocketId from_socket, sim::FlowSpec spec) {
     spec.locality = locality_of(from_socket);
-    return resource().transfer(spec);
+    return resource_.transfer(spec);
   }
 
   /// Counters of the device's rate allocator (per-instance state; see
-  /// pmemsim::AllocatorCounters). Backends without a memoizing
-  /// allocator report zeros.
-  [[nodiscard]] virtual pmemsim::AllocatorCounters allocator_counters()
+  /// pmemsim::AllocatorCounters).
+  [[nodiscard]] pmemsim::AllocatorCounters allocator_counters()
       const noexcept {
-    return {};
+    return allocator_.counters();
   }
 
- protected:
-  /// The fluid-flow resource `io()` charges against.
-  [[nodiscard]] virtual sim::FlowResource& resource() noexcept = 0;
+ private:
+  topo::SocketId socket_;
+  bool uniform_;
+  pmemsim::OptaneRateAllocator allocator_;
+  sim::FlowResource resource_;
+  pmemsim::PmemSpace space_;
 };
 
 }  // namespace pmemflow::devices

@@ -28,10 +28,8 @@
 #include "sim/task.hpp"
 
 // Platform + device models
-#include "devices/cxl_device.hpp"
-#include "devices/dram_device.hpp"
+#include "devices/device_spec.hpp"
 #include "devices/memory_device.hpp"
-#include "devices/optane_device.hpp"
 #include "devices/registry.hpp"
 #include "interconnect/upi.hpp"
 #include "pmemsim/allocator.hpp"

@@ -22,9 +22,8 @@ const char* to_string(Locality locality) noexcept {
   return locality == Locality::kLocal ? "local" : "remote";
 }
 
-FlowResource::FlowResource(Engine& engine, RateAllocator& allocator,
-                           std::string name)
-    : engine_(engine), allocator_(allocator), name_(std::move(name)) {}
+FlowResource::FlowResource(Engine& engine, RateAllocator& allocator)
+    : engine_(engine), allocator_(allocator) {}
 
 FlowResource::~FlowResource() {
   if (pending_completion_.valid()) {

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/units.hpp"
@@ -97,7 +96,7 @@ struct FlowResourceStats {
 /// A shared transfer resource (one PMEM interleave set, one UPI link...).
 class FlowResource {
  public:
-  FlowResource(Engine& engine, RateAllocator& allocator, std::string name);
+  FlowResource(Engine& engine, RateAllocator& allocator);
   FlowResource(const FlowResource&) = delete;
   FlowResource& operator=(const FlowResource&) = delete;
   ~FlowResource();
@@ -125,7 +124,6 @@ class FlowResource {
   [[nodiscard]] std::size_t active_flows() const noexcept {
     return active_.size();
   }
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
  private:
   struct ActiveFlow {
@@ -145,7 +143,6 @@ class FlowResource {
 
   Engine& engine_;
   RateAllocator& allocator_;
-  std::string name_;
   std::vector<std::unique_ptr<ActiveFlow>> active_;
   SimTime last_update_ = 0;
   EventId pending_completion_{};

@@ -76,18 +76,13 @@ void Platform::release_all() {
 }
 
 std::string Platform::describe() const {
-  std::string description = format(
+  return format(
       "%u-socket platform: %u cores/socket, %u iMC/socket, "
       "%u PMEM DIMMs/socket (%s interleaved), %s DRAM/socket",
       spec_.sockets, spec_.cores_per_socket, spec_.imcs_per_socket,
       spec_.pmem_dimms_per_socket,
       format_bytes(spec_.pmem_per_socket()).c_str(),
       format_bytes(spec_.dram_per_socket).c_str());
-  if (!spec_.socket_backends.empty()) {
-    description +=
-        format(", backends %s", join(spec_.socket_backends, "/").c_str());
-  }
-  return description;
 }
 
 }  // namespace pmemflow::topo

@@ -33,14 +33,6 @@ struct PlatformSpec {
   Bytes pmem_dimm_capacity = 512ULL * kGB;
   Bytes dram_per_socket = 192ULL * kGB;
 
-  /// Memory-backend preset name per socket (index = SocketId), resolved
-  /// against devices::DeviceRegistry::builtin() by the workflow runner.
-  /// Empty: every socket runs the runner's default backend. Shorter
-  /// than `sockets`: remaining sockets run the entry-0 backend. This is
-  /// how a node is declared heterogeneous — e.g. {"optane-gen1",
-  /// "cxl-like"} puts Optane on socket 0 and a CXL expander on socket 1.
-  std::vector<std::string> socket_backends;
-
   /// Total PMEM capacity of one socket's interleave set.
   [[nodiscard]] Bytes pmem_per_socket() const noexcept {
     return static_cast<Bytes>(pmem_dimms_per_socket) * pmem_dimm_capacity;

@@ -341,28 +341,7 @@ Status validate_job(const topo::PlatformSpec& platform, const Job& job) {
 }  // namespace
 
 Runner::Runner(topo::PlatformSpec platform, devices::NodeDevices devices)
-    : platform_(std::move(platform)), devices_(std::move(devices)) {
-  const auto& backends = platform_.socket_backends;
-  if (backends.empty()) return;
-  const auto& registry = devices::DeviceRegistry::builtin();
-  for (std::size_t socket = 0; socket < backends.size(); ++socket) {
-    auto preset = registry.find(backends[socket]);
-    if (!preset.has_value()) {
-      backend_error_ = preset.error().message;
-      return;
-    }
-    if (socket == 0) {
-      devices_ = devices::NodeDevices(preset->spec);
-    } else {
-      devices_.set_socket(static_cast<topo::SocketId>(socket),
-                          preset->spec);
-    }
-  }
-}
-
-Runner::Runner(topo::PlatformSpec platform, pmemsim::OptaneParams optane,
-               interconnect::UpiParams upi)
-    : Runner(std::move(platform), devices::NodeDevices(optane, upi)) {}
+    : platform_(std::move(platform)), devices_(std::move(devices)) {}
 
 Expected<RunResult> Runner::run(const WorkflowSpec& spec,
                                 const RunOptions& options) const {
@@ -442,9 +421,6 @@ Expected<ColocatedResult> Runner::run_colocated(
 }
 
 Expected<EngineResult> Runner::run_jobs(std::span<const Job> jobs) const {
-  if (!backend_error_.empty()) {
-    return make_error(backend_error_);
-  }
   for (const Job& job : jobs) {
     if (auto valid = validate_job(platform_, job); !valid) {
       return Unexpected{valid.error()};
@@ -473,10 +449,11 @@ Expected<EngineResult> Runner::run_jobs(std::span<const Job> jobs) const {
     for (const Edge& edge : job.edges) {
       if (!devices.contains(edge.socket)) {
         const devices::DeviceSpec& spec = devices_.for_socket(edge.socket);
-        auto device = spec.instantiate(
-            engine, edge.socket,
-            spec.capacity_or(platform_.pmem_per_socket()));
-        devices.emplace(edge.socket, std::move(device));
+        devices.emplace(edge.socket,
+                        std::make_unique<devices::MemoryDevice>(
+                            engine, edge.socket,
+                            spec.capacity_or(platform_.pmem_per_socket()),
+                            spec));
       }
       if (!job.staging.enabled()) continue;
       if (const auto stage = stages.find(edge.socket); stage == stages.end()) {

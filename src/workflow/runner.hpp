@@ -37,6 +37,7 @@
 #include "capacity/staging.hpp"
 #include "common/expected.hpp"
 #include "devices/registry.hpp"
+#include "pmemsim/allocator.hpp"
 #include "topo/platform.hpp"
 #include "trace/tracer.hpp"
 #include "workflow/model.hpp"
@@ -198,16 +199,9 @@ struct EngineResult {
 /// Runner can execute many workflows/configurations sequentially.
 class Runner {
  public:
-  /// Primary form: per-socket memory backends come from `devices`,
-  /// further overridden by any `platform.socket_backends` preset names
-  /// (resolved against the builtin DeviceRegistry; an unknown name is
-  /// reported by the next run, not asserted here).
+  /// Per-socket memory backends come from `devices`.
   explicit Runner(topo::PlatformSpec platform = {},
                   devices::NodeDevices devices = {});
-
-  /// Legacy form: Optane on every socket with these timing parameters.
-  Runner(topo::PlatformSpec platform, pmemsim::OptaneParams optane,
-         interconnect::UpiParams upi = {});
 
   /// Simulates one workflow deployment. Fails (no side effects) on
   /// invalid deployments: same-socket components, rank counts exceeding
@@ -254,9 +248,6 @@ class Runner {
   /// Accumulated from each run's short-lived devices; mutable because
   /// the run calls are const (they don't change configuration).
   mutable pmemsim::AllocatorCounters allocator_counters_;
-  /// Non-empty when `platform.socket_backends` failed to resolve; every
-  /// run reports it as a recoverable error.
-  std::string backend_error_;
 };
 
 }  // namespace pmemflow::workflow

@@ -38,7 +38,7 @@ FlowSpec read_spec(Bytes total, Bytes op = 0) {
 TEST(FlowResource, SingleFlowTakesBytesOverRate) {
   Engine engine;
   EqualShareAllocator allocator(2.0);  // 2 bytes/ns
-  FlowResource resource(engine, allocator, "dev");
+  FlowResource resource(engine, allocator);
 
   SimTime finished = 0;
   auto proc = [&]() -> Task {
@@ -55,7 +55,7 @@ TEST(FlowResource, SingleFlowTakesBytesOverRate) {
 TEST(FlowResource, ZeroByteTransferCompletesInstantly) {
   Engine engine;
   EqualShareAllocator allocator(1.0);
-  FlowResource resource(engine, allocator, "dev");
+  FlowResource resource(engine, allocator);
   SimTime finished = 42;
   auto proc = [&]() -> Task {
     co_await resource.transfer(read_spec(0, 1));
@@ -70,7 +70,7 @@ TEST(FlowResource, ZeroByteTransferCompletesInstantly) {
 TEST(FlowResource, TwoEqualFlowsShareBandwidth) {
   Engine engine;
   EqualShareAllocator allocator(2.0);
-  FlowResource resource(engine, allocator, "dev");
+  FlowResource resource(engine, allocator);
 
   std::vector<SimTime> finish_times;
   auto proc = [&]() -> Task {
@@ -91,7 +91,7 @@ TEST(FlowResource, TwoEqualFlowsShareBandwidth) {
 TEST(FlowResource, LateArrivalSlowsExistingFlow) {
   Engine engine;
   EqualShareAllocator allocator(2.0);
-  FlowResource resource(engine, allocator, "dev");
+  FlowResource resource(engine, allocator);
 
   std::vector<std::pair<int, SimTime>> finish;
   auto first = [&]() -> Task {
@@ -118,7 +118,7 @@ TEST(FlowResource, LateArrivalSlowsExistingFlow) {
 TEST(FlowResource, ConservationAcrossManyFlows) {
   Engine engine;
   EqualShareAllocator allocator(3.0);
-  FlowResource resource(engine, allocator, "dev");
+  FlowResource resource(engine, allocator);
 
   constexpr int kFlows = 20;
   constexpr Bytes kPerFlow = 7777;
@@ -144,7 +144,7 @@ TEST(FlowResource, ConservationAcrossManyFlows) {
 TEST(FlowResource, TracksReadWriteAndRemoteBytes) {
   Engine engine;
   EqualShareAllocator allocator(1.0);
-  FlowResource resource(engine, allocator, "dev");
+  FlowResource resource(engine, allocator);
 
   auto proc = [&](IoKind kind, Locality locality) -> Task {
     FlowSpec spec;
@@ -166,7 +166,7 @@ TEST(FlowResource, TracksReadWriteAndRemoteBytes) {
 TEST(FlowResource, BusyTimeAndConcurrencyIntegral) {
   Engine engine;
   EqualShareAllocator allocator(1.0);
-  FlowResource resource(engine, allocator, "dev");
+  FlowResource resource(engine, allocator);
 
   auto proc = [&]() -> Task {
     co_await resource.transfer(read_spec(100));
@@ -204,7 +204,7 @@ class WritePriorityAllocator : public RateAllocator {
 TEST(FlowResource, AllocatorPolicyControlsSharing) {
   Engine engine;
   WritePriorityAllocator allocator;
-  FlowResource resource(engine, allocator, "dev");
+  FlowResource resource(engine, allocator);
 
   std::vector<std::pair<const char*, SimTime>> finish;
   auto proc = [&](IoKind kind, const char* label) -> Task {
@@ -254,7 +254,7 @@ class CountingAllocator : public RateAllocator {
 TEST(FlowResource, AllocatorRunsOncePerFlowSetChange) {
   Engine engine;
   CountingAllocator allocator(2.0);
-  FlowResource resource(engine, allocator, "dev");
+  FlowResource resource(engine, allocator);
 
   auto first = [&]() -> Task {
     co_await resource.transfer(read_spec(1000));
@@ -280,7 +280,7 @@ TEST(FlowResource, AllocatorRunsOncePerFlowSetChange) {
 TEST(FlowResource, SimultaneousCompletionsSolveOnce) {
   Engine engine;
   CountingAllocator allocator(2.0);
-  FlowResource resource(engine, allocator, "dev");
+  FlowResource resource(engine, allocator);
 
   int done = 0;
   auto proc = [&]() -> Task {
@@ -301,7 +301,7 @@ TEST(FlowResource, SimultaneousCompletionsSolveOnce) {
 TEST(FlowResourceDeathTest, OpSizeZeroAborts) {
   Engine engine;
   EqualShareAllocator allocator(1.0);
-  FlowResource resource(engine, allocator, "dev");
+  FlowResource resource(engine, allocator);
   auto proc = [&]() -> Task {
     FlowSpec spec;
     spec.total_bytes = 10;

@@ -5,7 +5,7 @@
 
 #include <stdexcept>
 
-#include "devices/optane_device.hpp"
+#include "devices/memory_device.hpp"
 #include "sim/task.hpp"
 #include "stack/nova_channel.hpp"
 #include "stack/nvstream.hpp"
@@ -17,7 +17,7 @@ template <typename ChannelT>
 class ChannelContractTest : public ::testing::Test {
  protected:
   sim::Engine engine_;
-  devices::OptaneDevice device_{engine_, 0, 8ULL * kGiB};
+  devices::MemoryDevice device_{engine_, 0, 8ULL * kGiB};
   ChannelT channel_{device_, "contract", /*num_ranks=*/2};
 
   void write(std::uint64_t version, std::uint32_t rank, SnapshotPart part) {

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "devices/optane_device.hpp"
+#include "devices/memory_device.hpp"
 #include "sim/task.hpp"
 #include "stack/nvstream.hpp"
 
@@ -12,7 +12,7 @@ namespace {
 class NovaChannelTest : public ::testing::Test {
  protected:
   sim::Engine engine_;
-  devices::OptaneDevice device_{engine_, 0, 8ULL * kGiB};
+  devices::MemoryDevice device_{engine_, 0, 8ULL * kGiB};
   NovaChannel channel_{device_, "chan", /*num_ranks=*/2};
 
   void write(std::uint64_t version, std::uint32_t rank, SnapshotPart part) {
@@ -120,7 +120,7 @@ TEST_F(NovaChannelTest, NovaSlowerThanNvstreamForSmallObjects) {
   // filesystem's per-op software cost dominates (SVII).
   auto run_with = [](auto&& make_channel) -> SimTime {
     sim::Engine engine;
-    devices::OptaneDevice device(engine, 0, 8ULL * kGiB);
+    devices::MemoryDevice device(engine, 0, 8ULL * kGiB);
     auto channel = make_channel(engine, device);
     auto writer = [&]() -> sim::Task {
       co_await channel->write_part(
@@ -135,11 +135,11 @@ TEST_F(NovaChannelTest, NovaSlowerThanNvstreamForSmallObjects) {
   };
 
   const SimTime nova_time =
-      run_with([](sim::Engine&, devices::OptaneDevice& device) {
+      run_with([](sim::Engine&, devices::MemoryDevice& device) {
         return std::make_unique<NovaChannel>(device, "nova", 1);
       });
   const SimTime nvstream_time =
-      run_with([](sim::Engine&, devices::OptaneDevice& device) {
+      run_with([](sim::Engine&, devices::MemoryDevice& device) {
         return std::make_unique<NvStreamChannel>(device, "nvs", 1);
       });
   EXPECT_GT(nova_time, nvstream_time);
@@ -151,7 +151,7 @@ TEST_F(NovaChannelTest, NovaSlowerThanNvstreamForSmallObjects) {
 TEST_F(NovaChannelTest, NovaOverheadNegligibleForLargeObjects) {
   auto run_with = [](auto&& make_channel) -> SimTime {
     sim::Engine engine;
-    devices::OptaneDevice device(engine, 0, 8ULL * kGiB);
+    devices::MemoryDevice device(engine, 0, 8ULL * kGiB);
     auto channel = make_channel(device);
     auto writer = [&]() -> sim::Task {
       co_await channel->write_part(
@@ -166,11 +166,11 @@ TEST_F(NovaChannelTest, NovaOverheadNegligibleForLargeObjects) {
   };
 
   const auto nova_time = static_cast<double>(
-      run_with([](devices::OptaneDevice& device) {
+      run_with([](devices::MemoryDevice& device) {
         return std::make_unique<NovaChannel>(device, "nova", 1);
       }));
   const auto nvstream_time = static_cast<double>(
-      run_with([](devices::OptaneDevice& device) {
+      run_with([](devices::MemoryDevice& device) {
         return std::make_unique<NvStreamChannel>(device, "nvs", 1);
       }));
   // Within ~25% of each other: device bandwidth dominates (paper SVII:

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/strings.hpp"
-#include "devices/optane_device.hpp"
+#include "devices/memory_device.hpp"
 #include "stack/payload.hpp"
 
 namespace pmemflow::stack {
@@ -12,7 +12,7 @@ namespace {
 class NovaFsTest : public ::testing::Test {
  protected:
   sim::Engine engine_;
-  devices::OptaneDevice device_{engine_, 0, 4ULL * kGiB};
+  devices::MemoryDevice device_{engine_, 0, 4ULL * kGiB};
   NovaFs fs_{device_};
 
   std::vector<std::byte> data(std::uint64_t seed, std::size_t size) {

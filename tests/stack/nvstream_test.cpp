@@ -4,7 +4,7 @@
 
 #include <stdexcept>
 
-#include "devices/optane_device.hpp"
+#include "devices/memory_device.hpp"
 #include "sim/task.hpp"
 
 namespace pmemflow::stack {
@@ -13,7 +13,7 @@ namespace {
 class NvStreamTest : public ::testing::Test {
  protected:
   sim::Engine engine_;
-  devices::OptaneDevice device_{engine_, /*socket=*/0, 8ULL * kGiB};
+  devices::MemoryDevice device_{engine_, /*socket=*/0, 8ULL * kGiB};
   NvStreamChannel channel_{device_, "chan", /*num_ranks=*/2};
 
   /// Runs a writer coroutine to completion.

@@ -175,7 +175,10 @@ struct Evaluation {
 };
 
 Evaluation evaluate(const Knobs& knobs, bool verbose) {
-  core::Executor executor{workflow::Runner({}, knobs.optane, knobs.upi)};
+  devices::DeviceSpec device;
+  device.optane = knobs.optane;
+  device.upi = knobs.upi;
+  core::Executor executor{workflow::Runner({}, devices::NodeDevices(device))};
   Evaluation eval;
 
   for (const auto& panel : expectations()) {
